@@ -1,53 +1,25 @@
 #!/usr/bin/env python
-"""Benchmark harness for the step-1 materialization engine.
+"""Benchmark harness for the step-1 materialization builder.
 
-Measures the three materialization paths over a grid of dataset sizes
-and worker counts, and emits a machine-readable ``BENCH_materialize.json``
-that seeds the repo's performance trajectory (one file per engine; later
-PRs append runs next to it and compare):
-
-``query_loop``
-    :func:`repro.core.materialize` — one ``query_with_ties`` per object
-    through the index front door (the paper's literal step 1).
-``batched``
-    :func:`repro.core.materialize_batched` — one
-    ``query_batch_with_ties`` per block of queries; on the brute backend
-    one distance-kernel invocation per block.
-``fast``
-    :func:`repro.core.fast_materialize` — the chunked argkmin engine
-    with ``strategy="auto"``: whole ``block_size × n`` slabs while they
-    fit the tile budget, cache-bounded tiles beyond.
-``chunked``
-    :func:`repro.core.fast_materialize` with ``strategy="chunked"`` —
-    the tiled merge forced on, peak temporary memory bounded by
-    ``--tile-bytes`` regardless of n. This is the only front-door path
-    run at very large n (above ``--max-loop-n`` the per-object paths
-    are skipped: a 100k query loop takes minutes and teaches nothing).
+Times :func:`repro.core.materialize` — one ``query_with_ties`` per
+object through the index front door, the paper's literal step 1 and the
+package's one builder — over a grid of dataset sizes and ``n_jobs``
+worker counts, and emits a machine-readable ``BENCH_materialize.json``.
 
 Every run records wall-clock seconds and the process peak RSS
 (``resource.getrusage`` — the OS high-water mark, monotone across the
 rows of one harness invocation; context, *never* asserted) next to the
 deterministic :mod:`repro.obs` counters and span timers (the actual
 contract: ``distance.kernel_calls``, ``distance.evaluations``,
-``knn.queries``, ``knn.batch_queries``, ``materialize.blocks``,
-``argkmin.tiles``, ``argkmin.tile_bytes``). A ``derived`` section
-reports the kernel-call ratio of ``query_loop`` over ``batched`` per
-size — the acceptance trajectory number — plus, for the ``fast`` and
-``chunked`` engine paths, the wall-clock speedup over ``query_loop``
-and the peak-RSS ratio at ``n_jobs=1``, so the engine win is a recorded
-number instead of raw-row archaeology. (RSS is the OS high-water mark
-and therefore monotone across the rows of one invocation: a ratio near
-1.0 for a path that ran *after* ``query_loop`` means it stayed inside
-the envelope the loop had already established.)
+``knn.queries``, ``graph.builds``). A ``derived`` section reports, per
+size, the wall-clock speedup of each ``n_jobs`` value over the serial
+run, so the fork pool's effect is a recorded number instead of raw-row
+archaeology.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_materialize.py \
         --sizes 500 1000 2000 --n-jobs 1 2 --out BENCH_materialize.json
-
-    # the memory-envelope demonstration row:
-    PYTHONPATH=src python benchmarks/bench_materialize.py \
-        --sizes 500 1000 2000 100000 --paths query_loop batched fast chunked
 
     # CI schema check of an emitted file:
     python benchmarks/bench_materialize.py --validate BENCH_materialize.json
@@ -64,19 +36,16 @@ import time
 
 import numpy as np
 
-SCHEMA = "repro.bench.materialize/v2"
+SCHEMA = "repro.bench.materialize/v3"
 
 #: required keys (and types) of every result record — the CI smoke job
-#: validates emitted files against this. v2 adds ``peak_rss_kb`` (from
-#: ``resource.getrusage``) and the obs span ``timers`` next to v1's
-#: wall-clock and counters.
+#: validates emitted files against this. v3 drops v2's ``path`` and
+#: ``block_size``: there is one builder.
 RESULT_FIELDS = {
     "n": int,
     "dim": int,
     "min_pts_ub": int,
-    "path": str,
     "index": str,
-    "block_size": int,
     "n_jobs": int,
     "wall_s": float,
     "peak_rss_kb": int,
@@ -85,29 +54,13 @@ RESULT_FIELDS = {
 }
 
 
-def _run_one(path, X, ub, block_size, n_jobs, index_name, tile_bytes):
+def _run_one(X, ub, n_jobs, index_name):
     from repro import obs
-    from repro.core import fast_materialize, materialize, materialize_batched
-
-    if path == "query_loop":
-        fn = lambda: materialize(X, ub, index=index_name, n_jobs=n_jobs)
-    elif path == "batched":
-        fn = lambda: materialize_batched(
-            X, ub, index=index_name, block_size=block_size, n_jobs=n_jobs
-        )
-    elif path == "fast":
-        fn = lambda: fast_materialize(X, ub, block_size=block_size, n_jobs=n_jobs)
-    elif path == "chunked":
-        fn = lambda: fast_materialize(
-            X, ub, block_size=block_size, strategy="chunked",
-            tile_bytes=tile_bytes, n_threads=n_jobs,
-        )
-    else:
-        raise ValueError(f"unknown path {path!r}")
+    from repro.core import materialize
 
     t0 = time.perf_counter()
     with obs.collect() as snap:
-        db = fn()
+        db = materialize(X, ub, index=index_name, n_jobs=n_jobs)
     wall = time.perf_counter() - t0
     # Process high-water RSS (KB on Linux): monotone within one harness
     # invocation, so the value after a run bounds that run's footprint.
@@ -121,98 +74,43 @@ def run(args) -> dict:
     for n in args.sizes:
         X = np.random.default_rng(args.seed).normal(size=(n, args.dim))
         ub = min(args.min_pts_ub, n - 1)
-        for path in args.paths:
-            if path in ("query_loop", "batched") and n > args.max_loop_n:
-                print(
-                    f"n={n:>6} path={path:<10} skipped (> --max-loop-n "
-                    f"{args.max_loop_n}; per-object front door)",
-                    file=sys.stderr,
-                )
-                continue
-            for n_jobs in args.n_jobs:
-                wall, peak_rss_kb, counters, timers = _run_one(
-                    path, X, ub, args.block_size, n_jobs, args.index,
-                    args.tile_bytes,
-                )
-                results.append(
-                    {
-                        "n": n,
-                        "dim": args.dim,
-                        "min_pts_ub": ub,
-                        "path": path,
-                        "index": args.index
-                        if path not in ("fast", "chunked") else "none",
-                        "block_size": args.block_size,
-                        "n_jobs": n_jobs,
-                        "wall_s": round(wall, 6),
-                        "peak_rss_kb": peak_rss_kb,
-                        "counters": counters,
-                        "timers": {
-                            name: {
-                                "count": rec["count"],
-                                "total_s": round(rec["total_s"], 6),
-                            }
-                            for name, rec in timers.items()
-                        },
-                    }
-                )
-                print(
-                    f"n={n:>6} path={path:<10} n_jobs={n_jobs} "
-                    f"wall={wall:8.4f}s peak_rss={peak_rss_kb / 1024:7.1f}MB "
-                    f"kernel_calls="
-                    f"{counters.get('distance.kernel_calls', 0)} "
-                    f"tile_bytes={counters.get('argkmin.tile_bytes', 0)}",
-                    file=sys.stderr,
-                )
-
-    derived = {}
-    for n in args.sizes:
-        loop = [
-            r for r in results
-            if r["n"] == n and r["path"] == "query_loop" and r["n_jobs"] == 1
-        ]
-        batched = [
-            r for r in results
-            if r["n"] == n and r["path"] == "batched" and r["n_jobs"] == 1
-        ]
-        if loop and batched:
-            lc = loop[0]["counters"].get("distance.kernel_calls", 0)
-            bc = batched[0]["counters"].get("distance.kernel_calls", 0)
-            derived[str(n)] = {
-                "query_loop_kernel_calls": lc,
-                "batched_kernel_calls": bc,
-                "kernel_call_ratio": round(lc / bc, 2) if bc else None,
-            }
+        for n_jobs in args.n_jobs:
+            wall, peak_rss_kb, counters, timers = _run_one(X, ub, n_jobs, args.index)
+            results.append(
+                {
+                    "n": n,
+                    "dim": args.dim,
+                    "min_pts_ub": ub,
+                    "index": args.index,
+                    "n_jobs": n_jobs,
+                    "wall_s": round(wall, 6),
+                    "peak_rss_kb": peak_rss_kb,
+                    "counters": counters,
+                    "timers": {
+                        name: {
+                            "count": rec["count"],
+                            "total_s": round(rec["total_s"], 6),
+                        }
+                        for name, rec in timers.items()
+                    },
+                }
+            )
+            print(
+                f"n={n:>6} n_jobs={n_jobs} wall={wall:8.4f}s "
+                f"peak_rss={peak_rss_kb / 1024:7.1f}MB "
+                f"kernel_calls={counters.get('distance.kernel_calls', 0)}",
+                file=sys.stderr,
+            )
 
     speedups = {}
     for n in args.sizes:
-        loop = [
-            r for r in results
-            if r["n"] == n and r["path"] == "query_loop" and r["n_jobs"] == 1
-        ]
-        if not loop:
-            continue
-        entry = {}
-        for path in ("fast", "chunked"):
-            rows = [
-                r for r in results
-                if r["n"] == n and r["path"] == path and r["n_jobs"] == 1
-            ]
-            if rows:
-                wall = rows[0]["wall_s"]
-                entry[path] = {
-                    "wall_s_query_loop": loop[0]["wall_s"],
-                    "wall_s": wall,
-                    "wall_speedup": round(loop[0]["wall_s"] / wall, 3)
-                    if wall else None,
-                    "peak_rss_kb_query_loop": loop[0]["peak_rss_kb"],
-                    "peak_rss_kb": rows[0]["peak_rss_kb"],
-                    "peak_rss_ratio": round(
-                        rows[0]["peak_rss_kb"] / loop[0]["peak_rss_kb"], 3
-                    ),
-                }
-        if entry:
-            speedups[str(n)] = entry
+        rows = {r["n_jobs"]: r["wall_s"] for r in results if r["n"] == n}
+        serial = rows.get(1)
+        if serial:
+            speedups[str(n)] = {
+                str(jobs): round(serial / wall, 3)
+                for jobs, wall in rows.items() if jobs != 1 and wall
+            }
 
     return {
         "schema": SCHEMA,
@@ -220,13 +118,9 @@ def run(args) -> dict:
             "sizes": args.sizes,
             "dim": args.dim,
             "min_pts_ub": args.min_pts_ub,
-            "block_size": args.block_size,
             "n_jobs": args.n_jobs,
-            "paths": args.paths,
             "index": args.index,
             "seed": args.seed,
-            "tile_bytes": args.tile_bytes,
-            "max_loop_n": args.max_loop_n,
         },
         "environment": {
             "python": platform.python_version(),
@@ -234,10 +128,7 @@ def run(args) -> dict:
             "machine": platform.machine(),
         },
         "results": results,
-        "derived": {
-            "kernel_calls_vs_query_loop": derived,
-            "speedup_vs_query_loop": speedups,
-        },
+        "derived": {"n_jobs_speedup_vs_serial": speedups},
     }
 
 
@@ -290,24 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sizes", nargs="+", type=int, default=[500, 1000, 2000])
     parser.add_argument("--dim", type=int, default=3)
     parser.add_argument("--min-pts-ub", type=int, default=20)
-    parser.add_argument("--block-size", type=int, default=512)
     parser.add_argument(
         "--n-jobs", nargs="+", type=int, default=[1, 2],
-        help="worker counts to sweep (each path runs once per value)",
-    )
-    parser.add_argument(
-        "--paths", nargs="+", default=["query_loop", "batched", "fast"],
-        choices=["query_loop", "batched", "fast", "chunked"],
-    )
-    parser.add_argument(
-        "--tile-bytes", type=int, default=None, metavar="BYTES",
-        help="chunked-path tile budget (default: the engine's 8 MiB)",
-    )
-    parser.add_argument(
-        "--max-loop-n", type=int, default=5000, metavar="N",
-        help="skip the per-object paths (query_loop, batched) above this "
-             "size — they scale O(n) Python calls and teach nothing at "
-             "100k (default: 5000)",
+        help="worker counts to sweep (the builder runs once per value)",
     )
     parser.add_argument("--index", default="brute")
     parser.add_argument("--seed", type=int, default=0)

@@ -1,14 +1,13 @@
 #!/bin/sh
 # Regenerate BENCH_materialize.json at the repo root with the default
-# trajectory grid, including the n=100k chunked-engine memory-envelope
-# row (the per-object paths skip sizes above --max-loop-n). Extra
-# arguments are passed through to the harness and override the grid,
-# e.g.:  benchmarks/run_bench_materialize.sh --sizes 200 --n-jobs 1
+# grid: the one step-1 builder at three sizes, serial and with a
+# two-worker fork pool. Extra arguments are passed through to the
+# harness and override the grid, e.g.:
+#   benchmarks/run_bench_materialize.sh --sizes 200 --n-jobs 1
 set -e
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python benchmarks/bench_materialize.py \
-    --sizes 500 1000 2000 100000 \
-    --paths query_loop batched fast chunked \
+    --sizes 500 1000 2000 --n-jobs 1 2 \
     --out BENCH_materialize.json "$@"
 python benchmarks/bench_materialize.py --validate BENCH_materialize.json

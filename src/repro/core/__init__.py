@@ -18,7 +18,6 @@ Module map (paper anchor in parentheses):
 * :mod:`~repro.core.bounds` — Lemma 1, Theorems 1-2 (Section 5)
 * :mod:`~repro.core.range_lof` — MinPts-range heuristic (Section 6.2)
 * :mod:`~repro.core.materialization` — the two-step algorithm (Section 7.4)
-* :mod:`~repro.core.blocked` — blocked, fully vectorized materialization
 * :mod:`~repro.core.parallel` — ``n_jobs`` process-pool sharding for step 1
 * :mod:`~repro.core.estimator` — the fit/score object API
 * :mod:`~repro.core.ranking` — ranked outlier reports
@@ -30,7 +29,6 @@ Module map (paper anchor in parentheses):
 * :mod:`~repro.core.reference` — the naive oracle (independent by design)
 """
 
-from .blocked import fast_lof_scores, fast_materialize
 from .bounds import (
     NeighborhoodBounds,
     PartitionBounds,
@@ -50,7 +48,7 @@ from .streaming import SlidingWindowLOF, StreamEvent, StreamingLOFDetector
 from .topn import TopNResult, top_n_lof
 from .lof import lof_scores
 from .lrd import local_reachability_density
-from .materialization import MaterializationDB, materialize, materialize_batched
+from .materialization import MaterializationDB, materialize
 from .parallel import fork_available, map_sharded, resolve_n_jobs
 from .neighbors import k_distance, k_distance_neighborhood
 from .range_lof import RangeLOFResult, lof_range, score_range, suggest_min_pts_range
@@ -60,8 +58,6 @@ from .reachability import reach_dist, reachability_matrix
 from .scoring import lof_values, lrd_values, reach_dist_values
 
 __all__ = [
-    "fast_lof_scores",
-    "fast_materialize",
     "NeighborhoodBounds",
     "PartitionBounds",
     "deep_members",
@@ -90,7 +86,6 @@ __all__ = [
     "local_reachability_density",
     "MaterializationDB",
     "materialize",
-    "materialize_batched",
     "fork_available",
     "map_sharded",
     "resolve_n_jobs",

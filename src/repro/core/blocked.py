@@ -1,154 +1,13 @@
-"""Block-wise vectorized materialization — the large-n fast path.
+"""The retired whole-dataset builder's module, kept as two names.
 
-The per-object query loop of :meth:`MaterializationDB.materialize`
-pays one Python-level call per object; for plain sequential-scan
-workloads the same result is obtained orders of magnitude faster by
-running the dataset's self k-NN through the chunked argkmin engine
-(:func:`repro.index.argkmin.argkmin_self`). The selection itself is
-loop-free: diagonal exclusion is one fancy-index write per tile, the
-tie-inclusive pick is one ``argpartition`` plus one global lexsort
-(:func:`repro.index.batch.select_tie_inclusive`, running either on
-whole ``block_size × n`` slabs or merged across cache-budget y-tiles),
-and rows are scattered straight into a
-:class:`~repro.core.graph.NeighborhoodGraph`
-(:meth:`~repro.core.graph.NeighborhoodGraph.from_csr_blocks`) — this
-module is a thin engine adapter; storage and scoring live in the shared
-columnar core.
-
-``fast_materialize`` produces a :class:`MaterializationDB` equivalent
-to the standard path: identical neighbor sets on non-degenerate data
-(Definition 4 tie inclusion and the deterministic (distance, id) order
-included) with distances equal to within a few ulps — the engine uses
-the expanded form ||x||^2 + ||y||^2 - 2<x, y>, which is what makes it a
-BLAS matmul. With ``strategy="auto"`` (the default) peak memory is
-``block_size * n`` floats instead of ``n^2`` — exactly the historical
-blocked path — and once that slab itself exceeds the engine's tile
-budget (or with ``strategy="chunked"``), each block is further tiled
-along the corpus axis so the peak is bounded by ``tile_bytes``
-regardless of n.
-
-With ``n_threads > 1`` the query blocks are fanned across a thread pool
-(:func:`repro.core.parallel.map_threaded`); per-tile BLAS kernels
-release the GIL, the dataset and the obs registry are shared, and the
-results are bit-identical to the serial run.
+Step 1 has one builder, :meth:`~repro.core.materialization.MaterializationDB.materialize`.
+The chunked argkmin engine it used to wrap stays the index's batch-query
+API (:func:`repro.index.argkmin.argkmin_self`). The layer tracer in
+``perfbench/tracer.py`` wraps both names below by module path, so this
+module keeps them resolvable; nothing in the package imports it.
 """
 
-from __future__ import annotations
+from ..index.argkmin import argkmin_self  # noqa: F401  (looked up by name)
+from .materialization import MaterializationDB
 
-from typing import List, Tuple
-
-import numpy as np
-
-from .. import obs
-from .._validation import check_data, check_min_pts
-from ..exceptions import ValidationError
-from ..index import get_metric
-from ..index.argkmin import argkmin_self
-from .graph import NeighborhoodGraph
-from .materialization import (
-    MaterializationDB,
-    _check_duplicate_mode,
-    _coord_keys_for,
-    ensure_distinct_coverage,
-)
-from .parallel import resolve_n_jobs
-
-
-def _block_bounds(n: int, block_size: int) -> List[Tuple[int, int]]:
-    """[start, stop) row ranges covering ``range(n)`` in order."""
-    return [(s, min(s + block_size, n)) for s in range(0, n, block_size)]
-
-
-def fast_materialize(
-    X,
-    min_pts_ub: int,
-    metric="euclidean",
-    block_size: int = 512,
-    duplicate_mode: str = "inf",
-    n_jobs=None,
-    strategy: str = "auto",
-    tile_bytes=None,
-    n_threads=None,
-) -> MaterializationDB:
-    """Build M through the chunked argkmin engine.
-
-    Parameters
-    ----------
-    X : (n, d) dataset.
-    min_pts_ub : the materialization bound MinPtsUB.
-    metric : any metric with a per-tile kernel (every built-in metric).
-    block_size : query rows per engine chunk. With ``strategy="auto"``
-        on small n this is also the distance-slab height, giving the
-        historical ``block_size * n * 8``-byte high-water mark and one
-        kernel call per block.
-    duplicate_mode : 'inf' (default), 'distinct' or 'error' — the same
-        policy choices as :meth:`MaterializationDB.materialize`;
-        'distinct' post-extends the few duplicate-saturated rows via
-        :func:`~repro.core.materialization.ensure_distinct_coverage`.
-    n_jobs : historical name for the worker knob; kept as an alias so
-        existing callers keep working. Blocks now fan out over threads
-        (the per-tile BLAS work releases the GIL), and results are
-        bit-identical to the serial path for every value.
-    strategy : passed to the engine — ``"auto"`` (default), ``"whole"``
-        or ``"chunked"``; see :func:`repro.index.argkmin.argkmin_with_ties`.
-    tile_bytes : engine tile budget (default 8 MiB); with
-        ``strategy="chunked"`` this bounds peak temporary memory
-        regardless of n.
-    n_threads : thread fan-out over query blocks; overrides ``n_jobs``
-        when both are given. ``None``/1 serial, ``-1`` one thread per
-        CPU.
-    """
-    X = check_data(X, min_rows=2)
-    n = X.shape[0]
-    ub = check_min_pts(min_pts_ub, n, name="min_pts_ub")
-    _check_duplicate_mode(duplicate_mode)
-    if block_size < 1:
-        raise ValidationError(f"block_size must be >= 1, got {block_size}")
-    metric_obj = get_metric(metric)
-    threads = n_threads if n_threads is not None else n_jobs
-    resolve_n_jobs(threads)  # validate eagerly, under the historical name
-
-    with obs.span("materialize.fast"):
-        obs.incr("materialize.blocks", len(_block_bounds(n, block_size)))
-        flat = argkmin_self(
-            X,
-            ub,
-            metric=metric_obj,
-            strategy=strategy,
-            x_chunk=block_size,
-            tile_bytes=tile_bytes,
-            n_threads=threads,
-        )
-        graph = NeighborhoodGraph.from_csr_blocks([flat], k_max=ub)
-        coord_keys = None
-        if duplicate_mode == "distinct":
-            coord_keys = _coord_keys_for(X)
-            graph = ensure_distinct_coverage(graph, X, metric, coord_keys, ub)
-    return MaterializationDB.from_graph(
-        graph, duplicate_mode=duplicate_mode, coord_keys=coord_keys
-    )
-
-
-def fast_lof_scores(
-    X,
-    min_pts: int,
-    metric="euclidean",
-    block_size: int = 512,
-    duplicate_mode: str = "inf",
-    n_jobs=None,
-    strategy: str = "auto",
-    tile_bytes=None,
-    n_threads=None,
-) -> np.ndarray:
-    """LOF via the blocked fast path — identical values, less Python."""
-    return fast_materialize(
-        X,
-        min_pts,
-        metric=metric,
-        block_size=block_size,
-        duplicate_mode=duplicate_mode,
-        n_jobs=n_jobs,
-        strategy=strategy,
-        tile_bytes=tile_bytes,
-        n_threads=n_threads,
-    ).lof(min_pts)
+fast_materialize = MaterializationDB.materialize

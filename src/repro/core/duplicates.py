@@ -63,18 +63,39 @@ def k_distinct_distance(X, i: int, k: int, metric="euclidean") -> float:
             f"k={k} exceeds the {distinct_available} distinct locations "
             f"other than object {i}'s own"
         )
-    metric_obj = get_metric(metric)
-    dists = metric_obj.pairwise_to_point(X, X[i])
-    order = np.argsort(dists, kind="stable")
-    seen = set()
+    dists = get_metric(metric).pairwise_to_point(X, X[i])
+    return distinct_ball(dists, keys, k)[2]
+
+
+def distinct_ball(
+    dists: np.ndarray, coord_keys: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The closed k-distinct-distance ball over one full distance row.
+
+    ``dists[j]`` is the query's distance to object j (``inf`` for an
+    excluded object) and ``coord_keys[j]`` its exact-coordinate group.
+    The radius is the distance at which the k-th distinct location is
+    reached — co-located duplicates of the query (distance 0) do not
+    count; the ball is every object within it. Returns ``(ids, dists,
+    radius)`` with the ball sorted by (distance, id). The one walk
+    behind every k-distinct-distance: stored rows, their radii, and the
+    online scorer's query rows.
+    """
+    order = np.lexsort((np.arange(len(dists)), dists))
+    seen: set = set()
     for j in order:
-        if dists[j] <= 0.0:
+        d = dists[j]
+        if d <= 0.0:
             continue
-        key = int(keys[j])
+        if not np.isfinite(d):
+            break
+        key = int(coord_keys[j])
         if key not in seen:
             seen.add(key)
             if len(seen) == k:
-                return float(dists[j])
-    raise ValidationError(  # pragma: no cover - guarded above
-        f"could not find {k} distinct locations around object {i}"
+                members = np.flatnonzero(dists <= d)
+                sub = np.lexsort((members, dists[members]))
+                return members[sub].astype(np.int64), dists[members][sub], float(d)
+    raise ValidationError(
+        f"fewer than k={k} distinct coordinate locations are reachable"
     )

@@ -46,17 +46,10 @@ class LocalOutlierFactor:
     threshold : scores strictly greater than this are flagged by
         :meth:`predict`; LOF ~ 1 means "in a cluster", so a threshold of
         1.5 (used by the paper's soccer study) is a reasonable default.
-    engine : materialization engine — ``'loop'`` (default; the
-        per-object query loop against ``index``), ``'batched'`` (the
-        batched index front door), or ``'chunked'`` (the cache-budgeted
-        argkmin engine of :mod:`repro.index.argkmin`; always
-        sequential-scan, ``index`` is ignored). All three produce
-        identical neighbor sets and LOF values.
-    n_jobs : worker parallelism for the materialization step
-        (``None``/1 serial, ``-1`` one worker per CPU). The loop and
-        batched engines shard across a fork pool; the chunked engine
-        fans row-chunks across threads. Scores are bit-identical for
-        every value; see ``docs/performance.md``.
+    n_jobs : worker processes for the materialization step's per-object
+        query loop (``None``/1 serial, ``-1`` one worker per CPU),
+        sharded across a fork pool. Scores are bit-identical for every
+        value; see ``docs/performance.md``.
     profile : when True, :meth:`fit` runs inside an isolated
         :func:`repro.obs.collect` scope and stores the resulting
         counter/timer snapshot (a JSON-serializable dict) on
@@ -96,7 +89,6 @@ class LocalOutlierFactor:
         duplicate_mode: str = "inf",
         threshold: float = 1.5,
         profile: bool = False,
-        engine: str = "loop",
         n_jobs=None,
         scorer: str = "lof",
     ):
@@ -110,7 +102,6 @@ class LocalOutlierFactor:
         self.scorer = get_scorer(scorer).name
         self.threshold = float(threshold)
         self.profile = bool(profile)
-        self.engine = engine
         self.n_jobs = n_jobs
         self._result: Optional[RangeLOFResult] = None
         self.materialization_: Optional[MaterializationDB] = None
@@ -134,41 +125,14 @@ class LocalOutlierFactor:
         self.X_ = X
         lb, ub = self._resolve_range(X.shape[0])
         with obs.span("estimator.materialize"):
-            if self.engine == "loop":
-                self.materialization_ = MaterializationDB.materialize(
-                    X,
-                    ub,
-                    index=self.index,
-                    metric=self.metric,
-                    duplicate_mode=self.duplicate_mode,
-                    n_jobs=self.n_jobs,
-                )
-            elif self.engine == "batched":
-                self.materialization_ = MaterializationDB.materialize_batched(
-                    X,
-                    ub,
-                    index=self.index,
-                    metric=self.metric,
-                    duplicate_mode=self.duplicate_mode,
-                    n_jobs=self.n_jobs,
-                )
-            elif self.engine == "chunked":
-                # Sequential-scan only: the chunked argkmin engine is its
-                # own substrate; the ``index`` parameter does not apply.
-                from .blocked import fast_materialize
-
-                self.materialization_ = fast_materialize(
-                    X,
-                    ub,
-                    metric=self.metric,
-                    duplicate_mode=self.duplicate_mode,
-                    n_threads=self.n_jobs,
-                )
-            else:
-                raise ValidationError(
-                    "engine must be 'loop', 'batched' or 'chunked', "
-                    f"got {self.engine!r}"
-                )
+            self.materialization_ = MaterializationDB.materialize(
+                X,
+                ub,
+                index=self.index,
+                metric=self.metric,
+                duplicate_mode=self.duplicate_mode,
+                n_jobs=self.n_jobs,
+            )
         with obs.span("estimator.sweep"):
             self._result = score_range(
                 X=self.X_,

@@ -50,10 +50,9 @@ import numpy as np
 from .. import obs
 from .._validation import check_data, check_min_pts
 from ..exceptions import ValidationError
-from ..index import NNIndex, make_index
 from . import scoring
+from .duplicates import distinct_ball
 from .graph import NeighborhoodGraph
-from .parallel import map_sharded, resolve_n_jobs
 
 _DUPLICATE_MODES = ("inf", "distinct", "error")
 
@@ -169,148 +168,37 @@ class MaterializationDB:
     ) -> "MaterializationDB":
         """Step 1 of the two-step algorithm: build M from dataset ``X``.
 
-        ``index`` may be a registry name ('brute', 'grid', 'kdtree',
-        'balltree', 'rstar', 'xtree', 'vafile'), an :class:`NNIndex`
-        class, or a fitted/unfitted instance. ``n_jobs`` shards the
-        per-object query loop across a fork-based process pool
-        (``None``/1 serial, ``-1`` one worker per CPU); the fitted index
-        is shared with workers copy-on-write and the result is
-        bit-identical to the serial run.
+        One tie-inclusive ``query_with_ties`` per object against the
+        chosen index (:meth:`NeighborhoodGraph.from_index`). ``index``
+        may be a registry name ('brute', 'grid', 'kdtree', 'balltree',
+        'rstar', 'xtree', 'vafile'), an :class:`NNIndex` class, or a
+        fitted/unfitted instance. ``n_jobs`` shards the per-object query
+        loop across a fork-based process pool (``None``/1 serial, ``-1``
+        one worker per CPU); the fitted index is shared with workers
+        copy-on-write and the result is bit-identical to the serial run.
+        ``duplicate_mode='distinct'`` then extends the few rows whose
+        plain neighborhoods do not cover MinPtsUB distinct locations
+        (see :func:`ensure_distinct_coverage`).
         """
         X = check_data(X, min_rows=2)
         n = X.shape[0]
         ub = check_min_pts(min_pts_ub, n, name="min_pts_ub")
         _check_duplicate_mode(duplicate_mode)
+        coord_keys = _coord_keys_for(X) if duplicate_mode == "distinct" else None
         with obs.span("materialize.query_loop"):
-            if duplicate_mode == "distinct":
-                coord_keys = _coord_keys_for(X)
-                graph = cls._materialize_distinct_loop(
-                    X, ub, index, metric, coord_keys, n_jobs
-                )
-            else:
-                coord_keys = None
-                graph = NeighborhoodGraph.from_index(
-                    X, ub, index=index, metric=metric, n_jobs=n_jobs
-                )
-        return cls.from_graph(
-            graph, duplicate_mode=duplicate_mode, coord_keys=coord_keys
-        )
-
-    @classmethod
-    def materialize_batched(
-        cls,
-        X,
-        min_pts_ub: int,
-        index="brute",
-        metric="euclidean",
-        block_size: int = 512,
-        duplicate_mode: str = "inf",
-        n_jobs=None,
-    ) -> "MaterializationDB":
-        """Step 1 through the batched index front door.
-
-        Issues one :meth:`~repro.index.NNIndex.query_batch_with_ties`
-        call per block of ``block_size`` query rows instead of one
-        Python-level query per object — O(n / block_size) front-door
-        crossings, and on the brute backend O(n / block_size) distance
-        kernel invocations. Neighbor sets, tie handling and the
-        (distance, id) order are identical to :meth:`materialize`; on
-        the brute backend distances match
-        :func:`~repro.core.blocked.fast_materialize` bit-for-bit at equal
-        ``block_size``. ``duplicate_mode='distinct'`` post-extends the
-        few rows whose plain neighborhoods do not cover MinPtsUB
-        distinct locations (see :func:`ensure_distinct_coverage`).
-        """
-        X = check_data(X, min_rows=2)
-        n = X.shape[0]
-        ub = check_min_pts(min_pts_ub, n, name="min_pts_ub")
-        _check_duplicate_mode(duplicate_mode)
-        with obs.span("materialize.batched"):
-            graph = NeighborhoodGraph.from_index_batched(
-                X,
-                ub,
-                index=index,
-                metric=metric,
-                block_size=block_size,
-                n_jobs=n_jobs,
+            graph = NeighborhoodGraph.from_index(
+                X, ub, index=index, metric=metric, n_jobs=n_jobs
             )
-            coord_keys = None
-            if duplicate_mode == "distinct":
-                coord_keys = _coord_keys_for(X)
+            if coord_keys is not None:
                 graph = ensure_distinct_coverage(graph, X, metric, coord_keys, ub)
         return cls.from_graph(
             graph, duplicate_mode=duplicate_mode, coord_keys=coord_keys
         )
 
-    @classmethod
-    def _materialize_distinct_loop(
-        cls, X, ub, index, metric, coord_keys, n_jobs
-    ) -> NeighborhoodGraph:
-        """The per-object query loop under the k-distinct-distance policy."""
-        n = X.shape[0]
-        jobs = resolve_n_jobs(n_jobs)
-        nn_index = make_index(index, metric=metric)
-        if not nn_index.is_fitted:
-            nn_index.fit(X)
-        elif nn_index.n_points != n:
-            raise ValidationError(
-                "a pre-fitted index must be fitted on the same dataset"
-            )
-
-        def query_shard(ids):
-            shard_ids: List[np.ndarray] = []
-            shard_dists: List[np.ndarray] = []
-            for i in ids:
-                i = int(i)
-                hood = cls._distinct_neighborhood(nn_index, X[i], i, ub, coord_keys)
-                shard_ids.append(hood.ids.astype(np.int64))
-                shard_dists.append(hood.distances.astype(np.float64))
-            return shard_ids, shard_dists
-
-        rows_ids: List[np.ndarray] = []
-        rows_dists: List[np.ndarray] = []
-        shards = np.array_split(np.arange(n), jobs) if jobs > 1 else [range(n)]
-        for shard_ids, shard_dists in map_sharded(query_shard, shards, jobs):
-            rows_ids.extend(shard_ids)
-            rows_dists.extend(shard_dists)
-        return NeighborhoodGraph.from_rows(rows_ids, rows_dists, k_max=ub)
-
-    @staticmethod
-    def _distinct_neighborhood(nn_index: NNIndex, q, self_id: int, k: int, coord_keys):
-        """Neighborhood based on the k-distinct-distance: grow the plain
-        k-NN result until it covers ``k`` neighbors with mutually
-        different coordinates (all of which differ from the query point's
-        own coordinates, since their distance is positive)."""
-        n = nn_index.n_points
-        probe = k
-        while True:
-            probe = min(probe, n - 1)
-            hood = nn_index.query_with_ties(q, probe, exclude=self_id)
-            positive = hood.distances > 0.0
-            distinct = np.unique(coord_keys[hood.ids[positive]])
-            if len(distinct) >= k or probe >= n - 1:
-                break
-            probe = min(n - 1, probe * 2)
-        if len(distinct) < k:
-            raise ValidationError(
-                f"fewer than k={k} distinct coordinate locations exist"
-            )
-        # k-distinct-distance: the distance at which the k-th distinct
-        # location (excluding the query's own coordinates) is reached.
-        seen: set = set()
-        kdist = None
-        for pid, dist in zip(hood.ids, hood.distances):
-            if dist <= 0.0:
-                continue
-            key = int(coord_keys[pid])
-            if key not in seen:
-                seen.add(key)
-                if len(seen) == k:
-                    kdist = dist
-                    break
-        # Closed ball of that radius (duplicates of q inside it included,
-        # matching the Definition 4 analog).
-        return nn_index.query_radius(q, kdist, exclude=self_id)
+    # The retired batched builder's name stays resolvable for callers
+    # that look builders up by name (perfbench/tracer.py wraps it); it
+    # is the one builder above.
+    materialize_batched = materialize
 
     # -- Definition 3: k-distance ---------------------------------------------
 
@@ -325,29 +213,17 @@ class MaterializationDB:
         return self._kdist_cache[k]
 
     def _distinct_k_distances(self, k: int) -> np.ndarray:
-        out = np.empty(self.n_points)
-        row_lengths = self.graph.row_lengths
-        for i in range(self.n_points):
-            dists = self.padded_dists[i, : row_lengths[i]]
-            ids = self.padded_ids[i, : row_lengths[i]]
-            seen: set = set()
-            kdist = None
-            for pid, dist in zip(ids, dists):
-                if dist <= 0.0:
-                    continue
-                key = int(self.coord_keys[pid])
-                if key not in seen:
-                    seen.add(key)
-                    if len(seen) == k:
-                        kdist = dist
-                        break
-            if kdist is None:
-                raise ValidationError(
-                    f"materialized rows do not cover {k} distinct locations "
-                    f"for object {i}; re-materialize with duplicate_mode='distinct'"
-                )
-            out[i] = kdist
-        return out
+        lengths = self.graph.row_lengths
+        return np.array(
+            [
+                distinct_ball(
+                    self.padded_dists[i, : lengths[i]],
+                    self.coord_keys[self.padded_ids[i, : lengths[i]]],
+                    k,
+                )[2]
+                for i in range(self.n_points)
+            ]
+        )
 
     # -- Definition 4: neighborhoods (CSR layout for vectorized math) ----------
 
@@ -600,54 +476,30 @@ def ensure_distinct_coverage(
     ball whenever it contains ``k`` distinct (positive-distance)
     locations — the k-th distinct location sits within the row's radius,
     and tie inclusion guarantees the row holds *every* point inside it.
-    Only duplicate-saturated rows fall short; those few are recomputed
-    from an exact full-row distance scan, so the blocked/batched builders
-    can serve ``duplicate_mode='distinct'`` without per-object probing.
+    Only duplicate-saturated rows fall short; each of those is rebuilt
+    from one full distance row (the ``pairwise_to_point`` kernel the
+    index queries use, so distances match the query loop bit for bit)
+    as the closed ball of :func:`~repro.core.duplicates.distinct_ball`.
     """
     from ..index import get_metric
 
     metric_obj = get_metric(metric)
-    deficient: List[int] = []
+    rows_ids: List[np.ndarray] = []
+    rows_dists: List[np.ndarray] = []
+    extended = False
     for i in range(graph.n_points):
         length = graph.row_lengths[i]
         ids = graph.padded_ids[i, :length]
         dists = graph.padded_dists[i, :length]
-        positive = dists > 0.0
-        if len(np.unique(coord_keys[ids[positive]])) < k:
-            deficient.append(i)
-    if not deficient:
+        if len(np.unique(coord_keys[ids[dists > 0.0]])) < k:
+            row = metric_obj.pairwise_to_point(X, X[i])
+            row[i] = np.inf
+            ids, dists, _ = distinct_ball(row, coord_keys, k)
+            extended = True
+        rows_ids.append(ids)
+        rows_dists.append(dists)
+    if not extended:
         return graph
-    n = graph.n_points
-    distinct_available = len(np.unique(coord_keys)) - 1
-    if k > distinct_available:
-        raise ValidationError(
-            f"fewer than k={k} distinct coordinate locations exist"
-        )
-    rows_ids = [
-        graph.padded_ids[i, : graph.row_lengths[i]] for i in range(n)
-    ]
-    rows_dists = [
-        graph.padded_dists[i, : graph.row_lengths[i]] for i in range(n)
-    ]
-    for i in deficient:
-        dists = metric_obj.pairwise(X[i : i + 1], X)[0]
-        dists[i] = np.inf
-        order = np.lexsort((np.arange(n), dists))
-        seen: set = set()
-        radius = None
-        for j in order:
-            if dists[j] <= 0.0 or not np.isfinite(dists[j]):
-                continue
-            key = int(coord_keys[j])
-            if key not in seen:
-                seen.add(key)
-                if len(seen) == k:
-                    radius = dists[j]
-                    break
-        members = np.flatnonzero(dists <= radius)
-        sub_order = np.lexsort((members, dists[members]))
-        rows_ids[i] = members[sub_order].astype(np.int64)
-        rows_dists[i] = dists[members][sub_order]
     return NeighborhoodGraph.from_rows(rows_ids, rows_dists, k_max=k)
 
 
@@ -665,27 +517,6 @@ def materialize(
         min_pts_ub,
         index=index,
         metric=metric,
-        duplicate_mode=duplicate_mode,
-        n_jobs=n_jobs,
-    )
-
-
-def materialize_batched(
-    X,
-    min_pts_ub: int,
-    index="brute",
-    metric="euclidean",
-    block_size: int = 512,
-    duplicate_mode: str = "inf",
-    n_jobs=None,
-) -> MaterializationDB:
-    """Convenience alias for :meth:`MaterializationDB.materialize_batched`."""
-    return MaterializationDB.materialize_batched(
-        X,
-        min_pts_ub,
-        index=index,
-        metric=metric,
-        block_size=block_size,
         duplicate_mode=duplicate_mode,
         n_jobs=n_jobs,
     )

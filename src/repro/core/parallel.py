@@ -1,7 +1,7 @@
-"""Worker-pool sharding for the materialization engine.
+"""Worker-pool sharding for step 1 and the argkmin engine.
 
 Section 7.4's step 1 is embarrassingly parallel: every object's k-NN
-query (or every distance-matrix block) is independent of the others, and
+query (or every distance-matrix tile) is independent of the others, and
 the dataset is read-only. This module provides two fan-out primitives:
 
 :func:`map_sharded`
@@ -29,7 +29,7 @@ Fork workers run their shard inside an isolated
 :func:`repro.obs.collect` scope and ship the scoped counters back with
 the payload; :func:`map_sharded` merges them into the parent registry
 via ``obs.incr``. Counter totals (``distance.kernel_calls``,
-``materialize.blocks``, ``knn.queries``, ...) therefore match the serial
+``knn.queries``, ...) therefore match the serial
 run exactly — profiles stay truthful under ``n_jobs > 1``. Worker span
 *timers* are deliberately dropped: per-process wall clock does not add
 up across a pool. Thread workers need no merge step at all: the obs

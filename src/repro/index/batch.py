@@ -1,8 +1,8 @@
 """Vectorized batch-selection kernels shared by the batched query paths.
 
-The batched front door (:meth:`NNIndex.query_batch_with_ties`) and the
-blocked materialization engine (:func:`repro.core.blocked.fast_materialize`)
-both reduce to the same primitive: given a block of a distance matrix
+The batched front door (:meth:`NNIndex.query_batch_with_ties`), the
+chunked argkmin engine behind it (:mod:`repro.index.argkmin`) and the
+online scorer (:mod:`repro.serve`) all reduce to the same primitive: given a block of a distance matrix
 ``D`` of shape ``(m, n)`` whose excluded entries are already ``inf``,
 select every row's tie-inclusive k-distance neighborhood (Definition 4)
 in the deterministic ``(distance, id)`` order, without any per-row

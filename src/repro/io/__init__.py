@@ -1,20 +1,17 @@
-"""Persistence: CSV for datasets/scores, binary for the
-materialization database M (the Section 7.4 intermediate result), and —
-re-exported from :mod:`repro.store` — the versioned model-store format
-that also carries per-MinPts caches, the dataset snapshot and estimator
-results for online serving."""
+"""Persistence: CSV for datasets/scores and — re-exported from
+:mod:`repro.store` — the one binary format, the checksummed model store
+that holds the materialization database M (the Section 7.4 intermediate
+result) and optionally per-MinPts caches, the dataset snapshot and
+estimator results for online serving."""
 
 from ..store import load_model, read_header, save_model
 from .csvio import load_dataset, load_scores, save_dataset, save_scores
-from .matio import load_materialization, save_materialization
 
 __all__ = [
     "load_dataset",
     "load_scores",
     "save_dataset",
     "save_scores",
-    "load_materialization",
-    "save_materialization",
     "load_model",
     "read_header",
     "save_model",

@@ -15,9 +15,9 @@ Design
   ``obs.incr(...)`` unconditionally; when instrumentation is off the
   cost is one attribute lookup plus an empty call.
 * **Deterministic when enabled.** Counters depend only on the code path
-  taken, never on the clock, so performance claims ("the blocked fast
-  path issues 10x fewer distance-kernel calls") become exact, replayable
-  invariants.
+  taken, never on the clock, so performance claims ("a batch query
+  issues one distance-kernel call per tile, the query loop one per
+  object") become exact, replayable invariants.
 * **Process-local and thread-safe.** One registry per process, guarded
   by a lock; there is deliberately no per-thread or per-call-tree
   scoping beyond :func:`collect`.
@@ -37,8 +37,6 @@ Counters (see ``docs/observability.md`` for the full contract)
     index nodes/pages touched while answering queries.
 ``index.supernode_overflows``
     X-tree split refusals that created or grew a supernode.
-``materialize.blocks``
-    distance-matrix blocks processed by the vectorized fast path.
 ``argkmin.tiles``
     distance tiles materialized by the chunked argkmin engine
     (:mod:`repro.index.argkmin`); one kernel call each.
@@ -94,7 +92,7 @@ Snapshots
 it. :func:`collect` runs a scope with a fresh, isolated registry::
 
     with obs.collect() as snap:
-        fast_materialize(X, 20)
+        materialize(X, 20)
     snap["counters"]["distance.kernel_calls"]
 """
 

@@ -18,7 +18,6 @@ COUNTERS = (
     'index.supernode_overflows',
     'knn.batch_queries',
     'knn.queries',
-    'materialize.blocks',
     'mscan.passes',
     'scorer.knn_dist.points',
     'scorer.ldof.points',
@@ -50,7 +49,5 @@ SPANS = (
     'argkmin.run',
     'estimator.materialize',
     'estimator.sweep',
-    'materialize.batched',
-    'materialize.fast',
     'materialize.query_loop',
 )

@@ -96,6 +96,7 @@ from . import obs
 from ._validation import check_data
 from .core import scoring
 from .core.bounds import reach_extrema
+from .core.duplicates import distinct_ball
 from .core.graph import NeighborhoodView
 from .core.parallel import fork_available, fork_workers, wait_workers
 from .core.range_lof import _AGGREGATES
@@ -120,6 +121,10 @@ __all__ = [
 ]
 
 _MISSING = object()
+
+#: Largest request body a handler will read. A longer ``Content-Length``
+#: is refused with 413 before any of the body is read.
+MAX_BODY_BYTES = 64 << 20
 
 
 class _PendingScore:
@@ -602,7 +607,9 @@ class OnlineScorer:
             apply_exclusions(D, exclude[novel])
             if self.mat.duplicate_mode == "distinct":
                 for pos, i in enumerate(novel):
-                    ids, dists, radius = self._distinct_query_row(D[pos], k)
+                    ids, dists, radius = distinct_ball(
+                        D[pos], self.mat.coord_keys, k
+                    )
                     rows_ids[i] = ids
                     rows_dists[i] = dists
                     kdist_q[i] = radius
@@ -627,39 +634,6 @@ class OnlineScorer:
                 f"query row {bad} has only {int(finite[bad])} candidate "
                 f"neighbors but MinPts={k}"
             )
-
-    def _distinct_query_row(self, drow: np.ndarray, k: int):
-        """One query's k-distinct-distance neighborhood (closed ball).
-
-        Mirrors ``MaterializationDB._distinct_neighborhood``: the radius
-        is the distance at which the k-th distinct coordinate location
-        (at positive distance — co-located duplicates of the query do
-        not count) is reached; the neighborhood is every stored point
-        inside that closed ball, sorted by (distance, id).
-        """
-        coord_keys = self.mat.coord_keys
-        n = len(drow)
-        order = np.lexsort((np.arange(n), drow))
-        seen: set = set()
-        radius = None
-        for j in order:
-            d = drow[j]
-            if d <= 0.0 or not np.isfinite(d):
-                continue
-            key = int(coord_keys[j])
-            if key not in seen:
-                seen.add(key)
-                if len(seen) == k:
-                    radius = d
-                    break
-        if radius is None:
-            raise ValidationError(
-                f"fewer than k={k} distinct coordinate locations are "
-                "reachable from the query point"
-            )
-        members = np.flatnonzero(drow <= radius)
-        sub = np.lexsort((members, drow[members]))
-        return members[sub].astype(np.int64), drow[members][sub], float(radius)
 
     def _reach_extrema(self, k: int):
         with self._lock:
@@ -1003,11 +977,15 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging off; /stats carries the counters
 
-    def _reply(self, status: int, payload: Dict) -> None:
+    def _reply(self, status: int, payload: Dict, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets close_connection: the handler loop ends after
+            # this reply instead of reading the next request.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -1017,7 +995,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         with self.server.track_request():
-            self._handle_post()
+            if self._body_length_ok():
+                self._handle_post()
+
+    def _body_length_ok(self) -> bool:
+        """Refuse a ``Content-Length`` that cannot be read safely.
+
+        A negative or non-integer length gets 400 and one above
+        :data:`MAX_BODY_BYTES` gets 413. The body is left unread and the
+        connection closed, since the next request's start is unknown.
+        """
+        header = self.headers.get("Content-Length", "0")
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if 0 <= length <= MAX_BODY_BYTES:
+            return True
+        status = 413 if length > MAX_BODY_BYTES else 400
+        self._reply(status, {"error": f"bad Content-Length {header!r}"}, close=True)
+        return False
 
     def _handle_get(self) -> None:
         scorer = self.server.scorer

@@ -3,10 +3,10 @@
 The tentpole guarantee of the columnar refactor: because every surface
 routes density and ratio arithmetic through the ONE kernel module
 (:mod:`repro.core.scoring`) over the ONE neighborhood representation
-(:mod:`repro.core.graph`), the per-object query loop, the batched front
-door, the blocked fast path, top-n mining, an incremental insert replay
-and a sliding streaming window must all report *bit-identical* LOF
-values — including on tie-saturated, duplicate-heavy data under every
+(:mod:`repro.core.graph`), the one step-1 builder (serial, sharded, or
+over a tree index), a store served online, top-n mining, an incremental
+insert replay and a sliding streaming window must all report
+*bit-identical* LOF values — including on tie-saturated, duplicate-heavy data under every
 duplicate policy. The naive reference oracle (kept independent on
 purpose) is compared with a tight tolerance instead, since its Python
 summation order legitimately differs at the last ulp.
@@ -22,12 +22,13 @@ import pytest
 from repro.core import (
     IncrementalLOF,
     MaterializationDB,
+    NeighborhoodGraph,
     StreamingLOFDetector,
-    fast_materialize,
     naive_lof,
     top_n_lof,
 )
 from repro.exceptions import DuplicatePointsError
+from repro.index import argkmin_self
 
 
 def duplicate_heavy():
@@ -51,32 +52,18 @@ MIN_PTS = 3
 
 
 def batch_paths(X, duplicate_mode):
-    """The four static builders, labelled.
-
-    "blocked" is the historical whole-slab fast path (strategy="auto"
-    resolves to whole tiles at this size); "chunked" forces the tiled
-    merge with a 400-byte budget (y-tiles of 7 columns) and two threads,
-    so the Definition-4 candidate merge and the thread fan-out are both
-    inside the bit-identity matrix.
-    """
+    """The one static builder, three ways, labelled: serial, sharded
+    across a two-worker fork pool, and querying a kd-tree instead of
+    the sequential scan."""
     return {
         "loop": MaterializationDB.materialize(
             X, MIN_PTS, duplicate_mode=duplicate_mode
         ),
-        "batched": MaterializationDB.materialize_batched(
-            X, MIN_PTS, block_size=7, duplicate_mode=duplicate_mode
+        "sharded": MaterializationDB.materialize(
+            X, MIN_PTS, duplicate_mode=duplicate_mode, n_jobs=2
         ),
-        "blocked": fast_materialize(
-            X, MIN_PTS, block_size=7, duplicate_mode=duplicate_mode
-        ),
-        "chunked": fast_materialize(
-            X,
-            MIN_PTS,
-            block_size=7,
-            duplicate_mode=duplicate_mode,
-            strategy="chunked",
-            tile_bytes=400,
-            n_threads=2,
+        "kdtree": MaterializationDB.materialize(
+            X, MIN_PTS, index="kdtree", duplicate_mode=duplicate_mode
         ),
     }
 
@@ -131,14 +118,17 @@ class TestTopN:
 class TestServeAgainstChunkBuiltStore:
     @pytest.mark.parametrize("dataset", [duplicate_heavy, tied_only])
     def test_score_new_matches_loop_lof(self, dataset, tmp_path):
-        """The online scorer over a store built by the chunked engine
-        reproduces the loop-built fitted LOF bit-for-bit (score each
-        stored row with itself excluded)."""
+        """The online scorer over a store whose graph came from the
+        chunked argkmin engine reproduces the loop-built fitted LOF
+        bit-for-bit (score each stored row with itself excluded)."""
         from repro.serve import OnlineScorer
 
         X = dataset()
-        chunked = fast_materialize(
-            X, MIN_PTS, block_size=7, strategy="chunked", tile_bytes=400
+        flat = argkmin_self(
+            X, MIN_PTS, x_chunk=7, strategy="chunked", tile_bytes=400
+        )
+        chunked = MaterializationDB.from_graph(
+            NeighborhoodGraph.from_csr_blocks([flat], MIN_PTS)
         )
         path = tmp_path / "chunk_built.rlof"
         chunked.save(path, X=X)

@@ -17,7 +17,7 @@ from repro.core.graph import (
     NeighborhoodView,
 )
 from repro.exceptions import ValidationError
-from repro.index import make_index
+from repro.index import argkmin_self, argkmin_with_ties, make_index
 
 
 def small_cloud(seed=0, n=30, d=2):
@@ -36,7 +36,15 @@ class TestBuilders:
     def test_from_index_and_batched_agree(self):
         X = tied_grid()
         a = NeighborhoodGraph.from_index(X, 4)
-        b = NeighborhoodGraph.from_index_batched(X, 4, block_size=7)
+        # The batch-query API's CSR blocks, 7 query rows at a time.
+        n = len(X)
+        blocks = [
+            argkmin_with_ties(
+                X[s : s + 7], X, 4, exclude=np.arange(s, min(s + 7, n))
+            )
+            for s in range(0, n, 7)
+        ]
+        b = NeighborhoodGraph.from_csr_blocks(blocks, 4)
         np.testing.assert_array_equal(a.padded_ids, b.padded_ids)
         np.testing.assert_array_equal(a.padded_dists, b.padded_dists)
 
@@ -66,7 +74,7 @@ class TestBuilders:
         obs.reset()
         X = small_cloud(2, n=20)
         NeighborhoodGraph.from_index(X, 3)
-        NeighborhoodGraph.from_index_batched(X, 3)
+        NeighborhoodGraph.from_csr_blocks([argkmin_self(X, 3)], 3)
         assert obs.counter("graph.builds") == 2
 
     def test_shape_validation(self):

@@ -108,6 +108,56 @@ class TestDistinctMode:
             materialize(np.zeros((10, 2)), min_pts_ub=3, duplicate_mode="distinct")
 
 
+def float_duplicate_clusters():
+    """Non-integer scatter plus four planted piles of exact duplicates
+    (6, 12, 22 and 30 copies): at MinPts 5, 10 and 20 the pile members'
+    plain k-NN rows hold nothing but zero-distance copies, so the
+    'distinct' rows must reach past them."""
+    rng = np.random.default_rng(42)
+    scatter = rng.normal(size=(120, 3)) * 1.7 + 0.3
+    sites = rng.uniform(-3.0, 3.0, size=(4, 3))
+    piles = np.repeat(sites, [6, 12, 22, 30], axis=0)
+    return np.vstack([scatter, piles])[rng.permutation(190)]
+
+
+def k_distinct_distance_of(brute, X, i, k):
+    """The k-distinct-distance of object i, walked by hand: the distance
+    at which the k-th location with coordinates other than X[i]'s is
+    reached, over the full (distance, id)-sorted scan."""
+    everything = brute.query_with_ties(X[i], len(X) - 1, exclude=i)
+    seen = set()
+    for j, dist in zip(everything.ids, everything.distances):
+        if dist > 0.0:
+            seen.add(tuple(X[j]))
+            if len(seen) == k:
+                return dist
+    raise AssertionError(f"object {i} has fewer than {k} distinct locations")
+
+
+class TestDistinctModeFloatData:
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("k", [5, 10, 20])
+    def test_rows_are_closed_k_distinct_balls(self, k, n_jobs):
+        X = float_duplicate_clusters()
+        mat = materialize(X, k, duplicate_mode="distinct", n_jobs=n_jobs)
+        brute = make_index("brute").fit(X)
+        longer_than_plain = 0
+        for i in range(len(X)):
+            radius = k_distinct_distance_of(brute, X, i, k)
+            ball = brute.query_radius(X[i], radius, exclude=i)
+            length = mat.graph.row_lengths[i]
+            np.testing.assert_array_equal(mat.padded_ids[i, :length], ball.ids)
+            np.testing.assert_array_equal(
+                mat.padded_dists[i, :length], ball.distances
+            )
+            assert mat.k_distances(k)[i] == radius
+            longer_than_plain += length > len(
+                brute.query_with_ties(X[i], k, exclude=i).ids
+            )
+        # The piles really forced rows past their plain k-NN rows.
+        assert longer_than_plain >= 30
+
+
 class TestLofRangeMethod:
     def test_range_dict(self, random_points):
         mat = materialize(random_points, min_pts_ub=8)

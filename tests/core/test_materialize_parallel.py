@@ -1,21 +1,25 @@
-"""Cross-path and parallel equivalence of the materialization engine.
+"""Parallel equivalence of the one builder, and the batch-query API.
 
-One database, four ways to build it — per-query loop, batched front
-door, blocked fast path, and any of them sharded across a process pool.
-Equivalence is the contract (docs/performance.md): identical neighbor
-ids and (distance, id) order everywhere; bit-identical distances within
-the vectorized family and under ``n_jobs``; and the batched paths must
-cost O(n / block_size) distance-kernel invocations, asserted on
-repro.obs counters (never the clock).
+Step 1 has one builder, the per-object query loop
+(:meth:`MaterializationDB.materialize`), optionally sharded across a
+process pool with ``n_jobs``. The index's batch-query API stays next to
+it: ``query_batch_with_ties`` per block of rows, and the chunked argkmin
+engine behind the brute backend (``argkmin_self``). Equivalence is the
+contract (docs/performance.md): identical neighbor ids and (distance,
+id) order everywhere; bit-identical distances within the vectorized
+family and under ``n_jobs``; and a batch query on the brute backend
+costs one distance-kernel invocation per block, asserted on repro.obs
+counters (never the clock).
 """
 
 import numpy as np
 import pytest
 
-from repro import materialize, materialize_batched, obs
-from repro.core import fast_materialize
+from repro import materialize, obs
+from repro.core import MaterializationDB, NeighborhoodGraph
 from repro.core.parallel import fork_available, map_sharded, resolve_n_jobs
 from repro.exceptions import ValidationError
+from repro.index import argkmin_self, make_index
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -41,6 +45,29 @@ def assert_same_db(a, b, exact=True):
         )
 
 
+def argkmin_db(X, k, **argkmin_kw):
+    """M from one whole-dataset ``argkmin_self`` call."""
+    graph = NeighborhoodGraph.from_csr_blocks([argkmin_self(X, k, **argkmin_kw)], k)
+    return MaterializationDB.from_graph(graph)
+
+
+def batched_db(X, k, block_size, index="brute"):
+    """M from one ``query_batch_with_ties`` call per block of rows."""
+    idx = make_index(index).fit(X)
+    n = len(X)
+    blocks = [
+        idx.query_batch_with_ties(
+            X[s : s + block_size], k, exclude=np.arange(s, min(s + block_size, n))
+        )
+        for s in range(0, n, block_size)
+    ]
+    rows_ids = [row[row >= 0] for ids, _ in blocks for row in ids]
+    rows_dists = [row[np.isfinite(row)] for _, dists in blocks for row in dists]
+    return MaterializationDB.from_graph(
+        NeighborhoodGraph.from_rows(rows_ids, rows_dists, k_max=k)
+    )
+
+
 def dataset(request_name, tie_ring, duplicate_heavy, random_points):
     return {
         "tied": tie_ring,
@@ -59,9 +86,9 @@ class TestCrossPathEquivalence:
         X = dataset(data_name, tie_ring, duplicate_heavy, random_points)
         std = materialize(X, self.UB)
         for bs in (1, 7, len(X), len(X) + 13):
-            fast = fast_materialize(X, self.UB, block_size=bs)
+            fast = argkmin_db(X, self.UB, x_chunk=bs)
             # Same neighbor sets and order; distances to within ulps
-            # (the blocked kernel uses the expanded BLAS form).
+            # (the tile kernel uses the expanded BLAS form).
             assert_same_db(std, fast, exact=False)
 
     def test_batched_bit_identical_to_fast(
@@ -69,8 +96,8 @@ class TestCrossPathEquivalence:
     ):
         X = dataset(data_name, tie_ring, duplicate_heavy, random_points)
         for bs in (1, 7, len(X), len(X) + 13):
-            fast = fast_materialize(X, self.UB, block_size=bs)
-            batched = materialize_batched(X, self.UB, block_size=bs)
+            fast = argkmin_db(X, self.UB, x_chunk=bs)
+            batched = batched_db(X, self.UB, block_size=bs)
             assert_same_db(fast, batched, exact=True)
 
     def test_batched_matches_loop_on_tree_backend(
@@ -78,7 +105,7 @@ class TestCrossPathEquivalence:
     ):
         X = dataset(data_name, tie_ring, duplicate_heavy, random_points)
         std = materialize(X, self.UB, index="kdtree")
-        batched = materialize_batched(X, self.UB, index="kdtree", block_size=7)
+        batched = batched_db(X, self.UB, block_size=7, index="kdtree")
         assert_same_db(std, batched, exact=True)
 
     @needs_fork
@@ -86,8 +113,8 @@ class TestCrossPathEquivalence:
         self, data_name, tie_ring, duplicate_heavy, random_points
     ):
         X = dataset(data_name, tie_ring, duplicate_heavy, random_points)
-        serial = fast_materialize(X, self.UB, block_size=5, n_jobs=1)
-        parallel = fast_materialize(X, self.UB, block_size=5, n_jobs=2)
+        serial = argkmin_db(X, self.UB, x_chunk=5, n_threads=1)
+        parallel = argkmin_db(X, self.UB, x_chunk=5, n_threads=2)
         assert_same_db(serial, parallel, exact=True)
 
     @needs_fork
@@ -104,8 +131,8 @@ class TestCrossPathEquivalence:
     ):
         X = dataset(data_name, tie_ring, duplicate_heavy, random_points)
         ref = materialize(X, self.UB).lof(self.UB)
-        fast = fast_materialize(X, self.UB, block_size=9).lof(self.UB)
-        batched = materialize_batched(X, self.UB, block_size=9).lof(self.UB)
+        fast = argkmin_db(X, self.UB, x_chunk=9).lof(self.UB)
+        batched = batched_db(X, self.UB, block_size=9).lof(self.UB)
         np.testing.assert_allclose(fast, ref, rtol=1e-9)
         np.testing.assert_allclose(batched, ref, rtol=1e-9)
 
@@ -117,7 +144,7 @@ class TestKernelCallCounters:
         with obs.collect() as loop:
             materialize(random_points, 5)
         with obs.collect() as batched:
-            materialize_batched(random_points, 5, block_size=block)
+            batched_db(random_points, 5, block_size=block)
         assert loop["counters"]["distance.kernel_calls"] == n
         assert batched["counters"]["distance.kernel_calls"] == 4
         assert batched["counters"]["knn.batch_queries"] == 4
@@ -136,9 +163,9 @@ class TestKernelCallCounters:
     @needs_fork
     def test_parallel_counters_match_serial(self, random_points):
         with obs.collect() as serial:
-            fast_materialize(random_points, 5, block_size=16, n_jobs=1)
+            argkmin_self(random_points, 5, x_chunk=16, n_threads=1)
         with obs.collect() as parallel:
-            fast_materialize(random_points, 5, block_size=16, n_jobs=2)
+            argkmin_self(random_points, 5, x_chunk=16, n_threads=2)
         assert serial["counters"] == parallel["counters"]
 
     @needs_fork
@@ -155,7 +182,7 @@ class TestEdgeCases:
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
         std = materialize(X, 1)
         for bs in (1, 2, 5):
-            fast = fast_materialize(X, 1, block_size=bs)
+            fast = argkmin_db(X, 1, x_chunk=bs)
             assert_same_db(std, fast, exact=False)
             assert fast.padded_ids.tolist() == [[1], [0]]
 
@@ -163,23 +190,21 @@ class TestEdgeCases:
         X = np.random.default_rng(5).normal(size=(7, 2))
         std = materialize(X, 6)
         for bs in (1, 3, 6, 7, 100):
-            assert_same_db(std, fast_materialize(X, 6, block_size=bs), exact=False)
-            assert_same_db(
-                std, materialize_batched(X, 6, block_size=bs), exact=False
-            )
+            assert_same_db(std, argkmin_db(X, 6, x_chunk=bs), exact=False)
+            assert_same_db(std, batched_db(X, 6, block_size=bs), exact=False)
 
     def test_ub_equals_n_minus_1_all_duplicates_but_one(self):
         # Zero distances at the partition boundary + the inf diagonal.
         X = np.array([[0.0], [0.0], [0.0], [1.0]])
         std = materialize(X, 3)
         for bs in (1, 2, 4, 9):
-            assert_same_db(std, fast_materialize(X, 3, block_size=bs), exact=False)
+            assert_same_db(std, argkmin_db(X, 3, x_chunk=bs), exact=False)
 
     def test_block_size_validation_unchanged(self, random_points):
         with pytest.raises(ValidationError):
-            fast_materialize(random_points, 5, block_size=0)
+            argkmin_self(random_points, 5, x_chunk=0)
         with pytest.raises(ValidationError):
-            materialize_batched(random_points, 5, block_size=0)
+            argkmin_self(random_points, 5, y_chunk=0)
 
 
 class TestNJobsResolution:

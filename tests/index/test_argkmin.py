@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import obs
-from repro.core import MaterializationDB, fast_materialize
+from repro.core import MaterializationDB, NeighborhoodGraph, duplicate_groups
+from repro.core.materialization import ensure_distinct_coverage
 from repro.exceptions import DuplicatePointsError, ValidationError
 from repro.index import argkmin_self, argkmin_with_ties
 
@@ -61,6 +62,19 @@ def assert_csr_equal(a, b, msg=""):
     np.testing.assert_array_equal(counts_a, counts_b, err_msg=f"counts {msg}")
     np.testing.assert_array_equal(ids_a, ids_b, err_msg=f"ids {msg}")
     np.testing.assert_array_equal(dists_a, dists_b, err_msg=f"dists {msg}")
+
+
+def chunked_db(X, k, duplicate_mode="inf", **argkmin_kw):
+    """M from one ``argkmin_self`` call; 'distinct' rows are extended by
+    the same coverage post-pass the one builder runs."""
+    graph = NeighborhoodGraph.from_csr_blocks([argkmin_self(X, k, **argkmin_kw)], k)
+    coord_keys = None
+    if duplicate_mode == "distinct":
+        coord_keys = duplicate_groups(X)[0]
+        graph = ensure_distinct_coverage(graph, X, "euclidean", coord_keys, k)
+    return MaterializationDB.from_graph(
+        graph, duplicate_mode=duplicate_mode, coord_keys=coord_keys
+    )
 
 
 def naive_tie_inclusive(X, k, exclude=None):
@@ -195,9 +209,9 @@ class TestDuplicateModes:
         loop = MaterializationDB.materialize(
             X, 3, duplicate_mode=duplicate_mode
         )
-        chunked = fast_materialize(
-            X, 3, block_size=5, duplicate_mode=duplicate_mode,
-            strategy="chunked", tile_bytes=240,
+        chunked = chunked_db(
+            X, 3, duplicate_mode=duplicate_mode,
+            x_chunk=5, strategy="chunked", tile_bytes=240,
         )
         np.testing.assert_array_equal(loop.padded_ids, chunked.padded_ids)
         np.testing.assert_array_equal(loop.padded_dists, chunked.padded_dists)
@@ -205,18 +219,16 @@ class TestDuplicateModes:
 
     def test_error_mode_raises(self):
         X = self.duplicate_heavy()
-        chunked = fast_materialize(
-            X, 3, block_size=5, duplicate_mode="error",
-            strategy="chunked", tile_bytes=240,
+        chunked = chunked_db(
+            X, 3, duplicate_mode="error",
+            x_chunk=5, strategy="chunked", tile_bytes=240,
         )
         with pytest.raises(DuplicatePointsError):
             chunked.lof(3)
 
     def test_inf_mode_duplicate_rows_have_inf_lrd(self):
         X = self.duplicate_heavy()
-        chunked = fast_materialize(
-            X, 3, block_size=5, strategy="chunked", tile_bytes=240
-        )
+        chunked = chunked_db(X, 3, x_chunk=5, strategy="chunked", tile_bytes=240)
         lrd = chunked.lrd(3)
         assert np.isinf(lrd[16:]).all()
 
@@ -250,9 +262,7 @@ class TestFloat32ZeroSnapRegression:
 
     def test_chunked_float32_materialize_keeps_inf_lrd(self):
         X32 = self.large_magnitude_duplicates()
-        db = fast_materialize(
-            X32, 3, block_size=4, strategy="chunked", tile_bytes=200
-        )
+        db = chunked_db(X32, 3, x_chunk=4, strategy="chunked", tile_bytes=200)
         lrd = db.lrd(3)
         # Rows 0..7 are two 4-fold duplicate sites: MinPts=3-fold
         # duplicates => lrd = inf (remark after Definition 6).

@@ -2,8 +2,9 @@
 
 Two families of checks:
 
-* ``fast_materialize`` vs the per-object query loop: identical neighbor
-  sets and distances for every metric and for degenerate block sizes
+* the blocked ``argkmin_self`` engine (the brute backend's batch-query
+  API) vs the per-object query loop: identical neighbor sets and
+  distances for every metric and for degenerate block sizes
   (1, n-1, n, 2n);
 * every registered index backend returns the same k-NN result as the
   brute-force oracle on a tied/duplicated dataset, while its query
@@ -14,10 +15,16 @@ import numpy as np
 import pytest
 
 from repro import materialize, obs
-from repro.core import fast_materialize
-from repro.index import available_indexes, make_index
+from repro.core import MaterializationDB, NeighborhoodGraph
+from repro.index import argkmin_self, available_indexes, make_index
 
 METRICS = ("euclidean", "manhattan", "chebyshev")
+
+
+def argkmin_db(X, k, **argkmin_kw):
+    """M from one whole-dataset ``argkmin_self`` call."""
+    graph = NeighborhoodGraph.from_csr_blocks([argkmin_self(X, k, **argkmin_kw)], k)
+    return MaterializationDB.from_graph(graph)
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +57,7 @@ class TestFastPathEquivalence:
         block_size = {"one": 1, "n-1": n - 1, "n": n, "2n": 2 * n}[block_size_kind]
         standard = materialize(small_points, 7, metric=metric)
         with obs.collect() as snap:
-            fast = fast_materialize(
-                small_points, 7, metric=metric, block_size=block_size
-            )
+            fast = argkmin_db(small_points, 7, metric=metric, x_chunk=block_size)
         np.testing.assert_array_equal(fast.padded_ids, standard.padded_ids)
         np.testing.assert_allclose(
             fast.padded_dists, standard.padded_dists, rtol=1e-9, atol=1e-12
@@ -60,11 +65,11 @@ class TestFastPathEquivalence:
         np.testing.assert_allclose(fast.lof(7), standard.lof(7), rtol=1e-9)
         # The block counter reflects the requested granularity exactly.
         expected_blocks = -(-n // block_size)  # ceil
-        assert snap["counters"]["materialize.blocks"] == expected_blocks
+        assert snap["counters"]["argkmin.tiles"] == expected_blocks
         assert snap["counters"]["distance.kernel_calls"] == expected_blocks
 
     def test_duplicates_identical_to_query_loop(self, tied_points):
-        fast = fast_materialize(tied_points, 6)
+        fast = argkmin_db(tied_points, 6)
         standard = materialize(tied_points, 6)
         np.testing.assert_array_equal(fast.padded_ids, standard.padded_ids)
         np.testing.assert_allclose(

@@ -212,7 +212,7 @@ class TestRL003ObsRegistry:
             from repro import obs
 
             def test_profile(snap):
-                with obs.span("materialize.fastt"):
+                with obs.span("materialize.query_lop"):
                     pass
                 assert snap["counters"]["distance.kernel_callz"] == 1
             """,
@@ -228,7 +228,7 @@ class TestRL003ObsRegistry:
 
             def test_counters(snap):
                 obs.incr("knn.queries")
-                with obs.span("materialize.fast"):
+                with obs.span("materialize.query_loop"):
                     pass
                 assert obs.counter("graph.builds") == 0
                 assert snap["counters"]["mscan.passes"] == 2

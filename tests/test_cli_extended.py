@@ -37,7 +37,7 @@ class TestTopN:
 
 class TestMaterializeSweep:
     def test_two_step_pipeline(self, dataset_csv, tmp_path, capsys):
-        mat_path = tmp_path / "m.mat"
+        mat_path = tmp_path / "m.rlof"
         code = main(
             ["materialize", str(dataset_csv), "--min-pts-ub", "10",
              "--out", str(mat_path)]
@@ -53,12 +53,24 @@ class TestMaterializeSweep:
         assert len(lines) == 8  # MinPts 3..10
 
     def test_sweep_respects_ub(self, dataset_csv, tmp_path, capsys):
-        mat_path = tmp_path / "m.mat"
+        mat_path = tmp_path / "m.rlof"
         main(["materialize", str(dataset_csv), "--min-pts-ub", "5",
               "--out", str(mat_path)])
         capsys.readouterr()
         code = main(["sweep", str(mat_path), "--min-pts", "3", "10"])
         assert code == 2  # exceeds the materialized bound: clean error
+
+    def test_sweep_tampered_store_is_3(self, dataset_csv, tmp_path, capsys):
+        mat_path = tmp_path / "m.rlof"
+        main(["materialize", str(dataset_csv), "--min-pts-ub", "5",
+              "--out", str(mat_path)])
+        capsys.readouterr()
+        blob = bytearray(mat_path.read_bytes())
+        blob[-3] ^= 0x01  # flip one payload bit: the checksum must catch it
+        mat_path.write_bytes(bytes(blob))
+        code = main(["sweep", str(mat_path), "--min-pts", "3", "5"])
+        assert code == EXIT_STORE_ERROR
+        assert "checksum" in capsys.readouterr().err
 
     def test_materialize_distinct_mode(self, tmp_path, capsys):
         X = np.vstack(
@@ -66,7 +78,7 @@ class TestMaterializeSweep:
         )
         data = tmp_path / "dup.csv"
         save_dataset(data, X)
-        mat_path = tmp_path / "m.mat"
+        mat_path = tmp_path / "m.rlof"
         code = main(
             ["materialize", str(data), "--min-pts-ub", "5",
              "--out", str(mat_path), "--duplicate-mode", "distinct"]

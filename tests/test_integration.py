@@ -24,25 +24,19 @@ from repro.analysis import (
     validate_theorem1,
 )
 from repro.baselines import db_outliers, dbscan, knn_distance_scores
-from repro.core import fast_materialize, top_n_lof
+from repro.core import top_n_lof
 from repro.datasets import (
     load_bundesliga,
     load_nhl96,
     make_fig9_dataset,
     standardize,
 )
-from repro.io import (
-    load_dataset,
-    load_materialization,
-    save_dataset,
-    save_materialization,
-    save_scores,
-)
+from repro.io import load_dataset, save_dataset, save_scores
 
 
 class TestFullPipelineOnDisk:
     def test_generate_persist_score_rank(self, tmp_path):
-        """Dataset -> CSV -> materialize -> .mat -> LOF range -> score
+        """Dataset -> CSV -> materialize -> store -> LOF range -> score
         CSV -> ranking: every hop through the filesystem."""
         ds = make_fig9_dataset(seed=0)
         names = [ds.label_names[label] for label in ds.labels]
@@ -50,11 +44,11 @@ class TestFullPipelineOnDisk:
         save_dataset(data_path, ds.X, labels=names)
 
         X, labels = load_dataset(data_path)
-        mat = fast_materialize(X, 45)
-        mat_path = tmp_path / "fig9.mat"
-        save_materialization(mat_path, mat)
+        mat = MaterializationDB.materialize(X, 45)
+        mat_path = tmp_path / "fig9.rlof"
+        mat.save(mat_path)
 
-        mat2 = load_materialization(mat_path)
+        mat2 = MaterializationDB.load(mat_path)
         res = lof_range(min_pts_lb=40, min_pts_ub=45, materialization=mat2)
         scores_path = tmp_path / "scores.csv"
         save_scores(scores_path, res.scores, labels=labels)

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro import LocalOutlierFactor, lof_scores, obs
-from repro.core import fast_materialize
-from repro.index import make_index
+from repro.index import argkmin_self, make_index
 
 
 class TestEnableDisable:
@@ -184,7 +183,7 @@ class TestPipelineCounters:
 
     def test_lof_pipeline_with_instrumentation_off(self, random_points):
         lof_scores(random_points, 8)
-        fast_materialize(random_points, 8)
+        argkmin_self(random_points, 8)
         assert obs.counters() == {}
         assert obs.timers() == {}
 

@@ -19,6 +19,7 @@ Three contracts:
 
 import http.client
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -29,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro import LocalOutlierFactor, MaterializationDB, obs
+from repro.core.duplicates import distinct_ball
 from repro.core.parallel import fork_available
 from repro.core.range_lof import _AGGREGATES
 from repro.exceptions import ServeError, StoreMismatchError, ValidationError
@@ -142,7 +144,7 @@ class TestScoreNew:
         # Degenerate distance row (all zeros): too few distinct
         # positive-distance locations for the radius to exist.
         with pytest.raises(ValidationError, match="distinct coordinate"):
-            sc._distinct_query_row(np.zeros(len(X)), 4)
+            distinct_ball(np.zeros(len(X)), sc.mat.coord_keys, 4)
 
     def test_exclude_validation(self, scorer):
         sc, _ = scorer
@@ -355,6 +357,34 @@ class TestHTTPServer:
         assert status == 400 and "features" in body["error"]
         status, body = self._request(srv, "/score", {"wrong": 1})
         assert status == 400
+
+    @pytest.mark.parametrize(
+        "length, status", [("-1", 400), ("abc", 400), ("99999999999", 413)]
+    )
+    def test_unusable_content_length_refused(self, server, length, status):
+        """A bad Content-Length gets a 400/413 reply, no body read and a
+        closed connection — not a parked handler thread (-1) or a
+        MemoryError from reading an 11-digit length."""
+        srv, _ = server
+        port = srv.server_address[1]
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /score HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+            )
+            # Reads to EOF: a server that keeps the connection open (or
+            # blocks reading the body) makes this raise socket.timeout.
+            with sock.makefile("rb") as reply:
+                raw = reply.read()
+        assert raw.split(b"\r\n", 1)[0].split(b" ")[:2] == [
+            b"HTTP/1.1", str(status).encode()
+        ]
+        assert b"Content-Length" in json.loads(raw.split(b"\r\n\r\n", 1)[1])[
+            "error"
+        ].encode()
+        # The handler survived: a new connection is served normally.
+        assert self._request(srv, "/healthz")[0] == 200
 
     def test_unknown_path_404(self, server):
         srv, _ = server
