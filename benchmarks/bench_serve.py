@@ -2,12 +2,12 @@
 """Closed-loop load benchmark for the online scoring service.
 
 Fits a deterministic synthetic model once, then sweeps a grid of
-serving configurations — ``workers × batch_window_ms × cache_size`` —
-starting a real ``repro-lof serve`` subprocess for each cell and
-hammering it with ``--concurrency`` closed-loop client threads over
-persistent HTTP/1.1 connections (each thread sends its next request the
-moment the previous response lands, so measured throughput is the
-service's, not the generator's). Emits a schema-validated
+serving configurations — ``workers × cache_size`` — starting a real
+``repro-lof serve`` subprocess for each cell and hammering it with
+``--concurrency`` closed-loop client threads over persistent HTTP/1.1
+connections (each thread sends its next request the moment the
+previous response lands, so measured throughput is the service's, not
+the generator's). Emits a schema-validated
 ``BENCH_serve.json`` recording, per cell:
 
 * ``req_per_s`` and the ``p50_ms``/``p99_ms`` request latencies — the
@@ -19,29 +19,27 @@ service's, not the generator's). Emits a schema-validated
   coalesced), so the coalescing rate behind a throughput number is
   recorded next to it.
 
-A ``batch_window_ms`` of ``0`` in the grid means batching *disabled*
-(``--no-batch``: the pre-fleet request-at-a-time behavior) — the
-baseline the coalesced configurations are measured against. A
-``cache_size`` of ``0`` disables the LRU result cache: those cells
-exercise the pure scoring path, which is where the batching speedup is
-architectural (per-request, per-MinPts fixed costs amortize across the
-coalesced batch) rather than workload luck — so that is where the
-``--check-speedup`` gate is read. Cache-warm cells measure the hit
+Every ``/score`` request goes through the server's one coalescing path
+(the batcher scores whatever queued while its previous batch ran, with
+no timer). A ``cache_size`` of ``0`` disables the LRU result cache:
+those cells exercise the pure scoring path, where coalescing is what
+amortizes the per-request, per-MinPts fixed costs, so that is where the
+``--check-coalescing`` gate is read. Cache-warm cells measure the hit
 path and are recorded alongside for the trajectory.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_serve.py \
-        --grid-workers 1 2 --grid-window-ms 0 2 --concurrency 8 \
+        --grid-workers 1 2 --concurrency 8 \
         --requests 400 --out BENCH_serve.json
 
     # CI schema check of an emitted file:
     python benchmarks/bench_serve.py --validate BENCH_serve.json
 
-    # CI speedup gate: at the smallest cache size, the best batched
-    # cell must beat the unbatched single-worker cell by this factor:
+    # CI coalescing gate: in the single-worker, cache-off cell the
+    # server must have scored at least this many requests per batch:
     python benchmarks/bench_serve.py --validate BENCH_serve.json \
-        --check-speedup 2.0
+        --check-coalescing 2.0
 """
 
 from __future__ import annotations
@@ -60,14 +58,12 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA = "repro.bench.serve/v1"
+SCHEMA = "repro.bench.serve/v2"
 
 #: required keys (and types) of every result record — the CI smoke job
 #: validates emitted files against this.
 RESULT_FIELDS = {
     "workers": int,
-    "batch_window_ms": float,
-    "batched": bool,
     "cache_size": int,
     "concurrency": int,
     "requests": int,
@@ -92,22 +88,17 @@ def fit_store(path: Path, n: int, dim: int, min_pts, seed: int) -> None:
     LocalOutlierFactor(min_pts=tuple(min_pts)).fit(X).save(path)
 
 
-def start_server(store, workers, window_ms, cache_size, max_batch):
+def start_server(store, workers, cache_size):
     """Launch ``repro-lof serve`` and return (process, port)."""
     cmd = [
         sys.executable, "-m", "repro", "serve", str(store),
         "--port", "0",
         "--cache-size", str(cache_size),
-        "--max-batch", str(max_batch),
     ]
     if workers > 1:
         cmd += ["--workers", str(workers)]
     else:
         cmd += ["--mmap"]
-    if window_ms > 0:
-        cmd += ["--batch-window-ms", str(window_ms)]
-    else:
-        cmd += ["--no-batch"]
     proc = subprocess.Popen(
         cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
     )
@@ -271,9 +262,8 @@ def run(args) -> dict:
     ]
 
     cells = [
-        (workers, window_ms, cache_size)
+        (workers, cache_size)
         for workers in args.grid_workers
-        for window_ms in args.grid_window_ms
         for cache_size in args.grid_cache
     ]
     # Best-of-N repeats, interleaved round-robin over the grid: on a
@@ -289,10 +279,8 @@ def run(args) -> dict:
     samples = {cell: ({}, {}) for cell in cells}
     for round_i in range(max(1, args.repeats)):
         for cell in cells:
-            workers, window_ms, cache_size = cell
-            proc, port = start_server(
-                store, workers, window_ms, cache_size, args.max_batch
-            )
+            workers, cache_size = cell
+            proc, port = start_server(store, workers, cache_size)
             try:
                 # Warmup: fill caches and fault the memmap in.
                 run_load(port, args.concurrency, args.warmup, payloads)
@@ -315,15 +303,13 @@ def run(args) -> dict:
 
     results = []
     for cell in cells:
-        workers, window_ms, cache_size = cell
+        workers, cache_size = cell
         _, wall, lat_ms = max(runs[cell], key=lambda r: r[0])
         rss, batcher = samples[cell]
         errors = errors_of[cell]
         done = len(lat_ms)
         record = {
             "workers": workers,
-            "batch_window_ms": float(window_ms),
-            "batched": window_ms > 0,
             "cache_size": cache_size,
             "concurrency": args.concurrency,
             "requests": done,
@@ -344,8 +330,7 @@ def run(args) -> dict:
         }
         results.append(record)
         print(
-            f"workers={workers} window={window_ms:>4}ms "
-            f"cache={cache_size:<5} -> "
+            f"workers={workers} cache={cache_size:<5} -> "
             f"{record['req_per_s']:8.1f} req/s  "
             f"p50={record['p50_ms']:6.2f}ms "
             f"p99={record['p99_ms']:6.2f}ms "
@@ -366,9 +351,7 @@ def run(args) -> dict:
             "warmup": args.warmup,
             "distinct_points": args.distinct_points,
             "points_per_request": args.points_per_request,
-            "max_batch": args.max_batch,
             "grid_workers": args.grid_workers,
-            "grid_window_ms": args.grid_window_ms,
             "grid_cache": args.grid_cache,
         },
         "environment": {
@@ -381,59 +364,34 @@ def run(args) -> dict:
     }
 
 
-def derive(results) -> dict:
-    """Throughput ratios the acceptance criteria read directly.
+def requests_per_batch(record):
+    """Requests per executed batch in a cell's ``/stats`` sample, or
+    None when the sample holds no batch."""
+    batcher = record.get("server_batcher") or {}
+    if not batcher.get("batches"):
+        return None
+    return round(batcher["requests"] / batcher["batches"], 3)
 
-    Ratios are computed *within* one cache size: a cache-warm unbatched
-    cell measures the hit path (HTTP plumbing plus one LRU lookup), not
-    scoring, so comparing a batched scoring-path cell against it would
-    mix two different workloads. The headline ``batched_over_unbatched``
-    is taken at the smallest cache size in the grid — with ``0`` in the
-    grid that is the pure scoring path, where coalescing is the only
-    thing between a request and the kernels."""
-    out = {}
+
+def derive(results) -> dict:
+    """The numbers the acceptance criteria read directly, per cache
+    size: the single-worker throughput and coalescing rate, and the best
+    cell (any worker count). The headline keys repeat the smallest cache
+    size in the grid — with ``0`` in the grid that is the pure scoring
+    path, where coalescing is the only thing between a request and the
+    kernels."""
     by_cache = {}
     for cache_size in sorted({r["cache_size"] for r in results}):
         cell = [r for r in results if r["cache_size"] == cache_size]
-        unbatched = [
-            r for r in cell if not r["batched"] and r["workers"] == 1
-        ]
-        batched = [r for r in cell if r["batched"]]
-        if not unbatched:
-            continue
-        base = max(unbatched, key=lambda r: r["req_per_s"])
-        entry = {"unbatched_single_worker_req_per_s": base["req_per_s"]}
-        if batched:
-            best = max(batched, key=lambda r: r["req_per_s"])
-            entry["best_batched_req_per_s"] = best["req_per_s"]
-            entry["best_batched_workers"] = best["workers"]
-            entry["best_batched_window_ms"] = best["batch_window_ms"]
-            if base["req_per_s"]:
-                entry["batched_over_unbatched"] = round(
-                    best["req_per_s"] / base["req_per_s"], 3
-                )
-        fleet = [r for r in batched if r["workers"] > 1]
-        if fleet and base["req_per_s"]:
-            best_fleet = max(fleet, key=lambda r: r["req_per_s"])
-            entry["multiworker_batched_req_per_s"] = best_fleet["req_per_s"]
-            entry["multiworker_batched_over_unbatched"] = round(
-                best_fleet["req_per_s"] / base["req_per_s"], 3
-            )
+        best = max(cell, key=lambda r: r["req_per_s"])
+        entry = {"best_req_per_s": best["req_per_s"], "best_workers": best["workers"]}
+        single = [r for r in cell if r["workers"] == 1]
+        if single:
+            entry["single_worker_req_per_s"] = single[0]["req_per_s"]
+            entry["single_worker_requests_per_batch"] = requests_per_batch(single[0])
         by_cache[str(cache_size)] = entry
-    if by_cache:
-        out["by_cache_size"] = by_cache
-        headline = by_cache[str(min(int(c) for c in by_cache))]
-        for key in (
-            "unbatched_single_worker_req_per_s",
-            "best_batched_req_per_s",
-            "best_batched_workers",
-            "best_batched_window_ms",
-            "batched_over_unbatched",
-            "multiworker_batched_req_per_s",
-            "multiworker_batched_over_unbatched",
-        ):
-            if key in headline:
-                out[key] = headline[key]
+    out = {"by_cache_size": by_cache}
+    out.update(by_cache[str(min(int(c) for c in by_cache))])
     return out
 
 
@@ -476,22 +434,24 @@ def validate(payload) -> list:
     return problems
 
 
-def check_speedup(payload, minimum: float) -> list:
-    """The CI gate: the best coalesced cell vs the unbatched
-    single-worker baseline, at the concurrency the file was recorded
-    with and at the smallest cache size in the grid (the pure scoring
-    path — see :func:`derive`). The best cell at that cache size (any
-    worker count — on few-core CI runners a single batching worker
-    often beats two contending ones) must clear the bar; the
-    multi-worker ratio is recorded alongside in ``derived``."""
-    derived = payload.get("derived", {})
-    ratio = derived.get("batched_over_unbatched")
-    if ratio is None:
-        return ["no batched/unbatched pair in results to compare"]
-    if ratio < minimum:
+def check_coalescing(payload, minimum: float) -> list:
+    """The CI gate: in the single-worker, cache-off cell, the server's
+    ``/stats`` batcher must have scored at least ``minimum`` requests
+    per batch at the concurrency the file was recorded with. A counter
+    ratio, not a wall-clock one: it shows that concurrent requests are
+    coalesced, whatever the speed of the runner."""
+    cells = [
+        r for r in payload.get("results", [])
+        if r.get("workers") == 1 and r.get("cache_size") == 0
+    ]
+    if not cells:
+        return ["no single-worker, cache-off cell in results"]
+    ratio = requests_per_batch(cells[0])
+    if ratio is None or ratio < minimum:
         return [
-            f"batched throughput is only {ratio}x the unbatched baseline "
-            f"(required: >= {minimum}x)"
+            f"the single-worker, cache-off server coalesced only {ratio} "
+            f"requests per batch at concurrency {cells[0]['concurrency']} "
+            f"(required: >= {minimum})"
         ]
     return []
 
@@ -519,22 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--distinct-points", type=int, default=64, metavar="N",
                         help="distinct query points cycled through (default: 64)")
     parser.add_argument("--points-per-request", type=int, default=1, metavar="N")
-    parser.add_argument(
-        "--max-batch", type=int, default=8, metavar="N",
-        help="server-side batch cap (default: 8 = --concurrency; with a "
-             "closed-loop generator the batch then closes the moment "
-             "every in-flight request has queued instead of idling out "
-             "the rest of the window)",
-    )
     parser.add_argument("--grid-workers", nargs="+", type=int, default=[1, 2])
-    parser.add_argument(
-        "--grid-window-ms", nargs="+", type=float, default=[0.0, 2.0],
-        help="batch windows to sweep; 0 disables batching (the baseline)",
-    )
     parser.add_argument(
         "--grid-cache", nargs="+", type=int, default=[0, 1024],
         help="LRU sizes to sweep; 0 (no cache) isolates the scoring "
-             "path and is where the speedup gate is read",
+             "path and is where the coalescing gate is read",
     )
     parser.add_argument("--store-dir", default="/tmp/repro-bench-serve",
                         help="where the fitted store file is written")
@@ -544,9 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate an emitted JSON file against the schema and exit",
     )
     parser.add_argument(
-        "--check-speedup", type=float, default=None, metavar="X",
-        help="with --validate: also require the best batched cell to "
-             "reach X times the unbatched single-worker throughput",
+        "--check-coalescing", type=float, default=None, metavar="X",
+        help="with --validate: also require the single-worker, cache-off "
+             "server to have scored at least X requests per batch",
     )
     return parser
 
@@ -557,8 +506,8 @@ def main(argv=None) -> int:
         with open(args.validate) as fh:
             payload = json.load(fh)
         problems = validate(payload)
-        if args.check_speedup is not None:
-            problems += check_speedup(payload, args.check_speedup)
+        if args.check_coalescing is not None:
+            problems += check_coalescing(payload, args.check_coalescing)
         for problem in problems:
             print(f"schema error: {problem}", file=sys.stderr)
         print(

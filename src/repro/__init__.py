@@ -73,6 +73,7 @@ from .exceptions import (
     DuplicatePointsError,
     NotFittedError,
     ReproError,
+    RequestTooLargeError,
     ServeError,
     SpatialIndexError,
     StoreCorruptionError,
@@ -118,6 +119,7 @@ __all__ = [
     "DuplicatePointsError",
     "NotFittedError",
     "ReproError",
+    "RequestTooLargeError",
     "ServeError",
     "SpatialIndexError",
     "StoreCorruptionError",

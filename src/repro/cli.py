@@ -13,7 +13,8 @@ fit
     per-MinPts caches, scores, dataset snapshot) to a store file:
     ``repro-lof fit data.csv --min-pts 10 50 --out model.rlof``
 serve
-    Serve a persisted model over HTTP for online scoring; ``--workers``
+    Serve a persisted model over HTTP for online scoring; concurrent
+    ``/score`` requests are coalesced without a timer, and ``--workers``
     forks a fleet sharing one memmapped store and one port:
     ``repro-lof serve model.rlof --port 8000 --workers 4``
 scorers
@@ -173,7 +174,6 @@ def _cmd_fit(args) -> int:
 def _cmd_serve(args) -> int:
     from .serve import run_fleet, run_server
 
-    batch_window_ms = None if args.no_batch else args.batch_window_ms
     stream = None
     if args.stream:
         stream = {
@@ -189,33 +189,17 @@ def _cmd_serve(args) -> int:
             stream["cooldown"] = args.stream_cooldown
         if args.stream_dir is not None:
             stream["store_dir"] = args.stream_dir
-    if args.workers > 1:
-        return run_fleet(
-            args.store,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            max_requests=args.max_requests,
-            cache_size=args.cache_size,
-            batch_window_ms=batch_window_ms,
-            max_batch=args.max_batch,
-            max_queue=args.max_queue,
-            scorer=args.scorer,
-            stream=stream,
-        )
-    return run_server(
-        args.store,
+    common = dict(
         host=args.host,
         port=args.port,
-        mmap=args.mmap,
         max_requests=args.max_requests,
         cache_size=args.cache_size,
-        batch_window_ms=batch_window_ms,
-        max_batch=args.max_batch,
-        max_queue=args.max_queue,
         scorer=args.scorer,
         stream=stream,
     )
+    if args.workers > 1:
+        return run_fleet(args.store, workers=args.workers, **common)
+    return run_server(args.store, mmap=args.mmap, **common)
 
 
 def _cmd_scorers(args) -> int:
@@ -371,7 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=_cmd_fit)
 
     p_serve = sub.add_parser(
-        "serve", help="serve a persisted model over HTTP for online scoring"
+        "serve",
+        help="serve a persisted model over HTTP for online scoring "
+             "(concurrent /score requests are coalesced into one kernel "
+             "call, with no batching delay)",
     )
     p_serve.add_argument("store", help="model store written by 'fit'")
     p_serve.add_argument("--host", default="127.0.0.1")
@@ -392,25 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, metavar="N",
         help="fork N serving processes sharing one port and one "
              "memmapped store (implies --mmap; default: 1, in-process)",
-    )
-    p_serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0, metavar="MS",
-        help="coalesce concurrent /score requests for up to MS "
-             "milliseconds into one kernel call (default: 2.0)",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=64, metavar="N",
-        help="flush a coalesced batch once it holds N points "
-             "(default: 64)",
-    )
-    p_serve.add_argument(
-        "--max-queue", type=int, default=1024, metavar="N",
-        help="bounded /score request queue depth; a full queue blocks "
-             "new requests (default: 1024)",
-    )
-    p_serve.add_argument(
-        "--no-batch", action="store_true",
-        help="disable request coalescing (score each request alone)",
     )
     _add_scorer_option(
         p_serve,

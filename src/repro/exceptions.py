@@ -77,3 +77,8 @@ class ServeError(ReproError):
     (e.g. the request queue is closed because the server is shutting
     down). Distinct from :class:`ValidationError`: the request may be
     perfectly well-formed — it is the service that is unavailable."""
+
+
+class RequestTooLargeError(ValidationError):
+    """A well-formed scoring request carries more points than the
+    service scores in one request (HTTP 413 on the serving path)."""

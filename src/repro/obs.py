@@ -57,9 +57,9 @@ Counters (see ``docs/observability.md`` for the full contract)
     (cache hits included).
 ``serve.cache.hits`` / ``serve.cache.misses``
     per-point lookups against the online scorer's LRU result cache;
-    lookups happen under the scorer's lock and in-flight misses are
-    single-flight, so both are exact under concurrency (a point being
-    computed by one thread counts a hit for every concurrent waiter).
+    the cached path holds one scoring lock across lookup, compute and
+    insert, so both are exact under concurrency (a point another thread
+    is scoring is found in the cache: a hit).
 ``serve.bounds.pruned`` / ``serve.bounds.exact``
     queries :meth:`~repro.serve.OnlineScorer.classify_new` decided from
     Theorem 1 brackets alone vs. those that paid for the exact kernels.

@@ -34,21 +34,18 @@ Concurrency model
 The frozen model (neighborhood graph, k-distance/lrd vectors, the
 dataset snapshot — read-only memmaps under ``mmap=True``) is immutable
 after :meth:`OnlineScorer._ensure_ks` warms the per-MinPts caches, so
-the scoring path itself runs **without any lock**: N threads score
-concurrently, each through its own kernel calls. The only mutable state
-is the LRU result cache and the Theorem-1 extrema memo, guarded by one
-small lock (RL005-annotated). Cache misses are *single-flight*: the
-first thread to miss a key installs an in-flight placeholder and
-computes; concurrent requesters of the same key count a hit and wait on
-the placeholder instead of recomputing — which keeps the hit/miss
-counters exactly the serial values under any interleaving.
+the kernels read it without any lock. The LRU result cache and the
+Theorem-1 extrema memo are guarded by one small lock (RL005-annotated)
+that is never held across a kernel, so ``/stats`` never waits behind
+scoring. The cached path also holds one *scoring lock* across lookup,
+compute and insert, so a concurrent requester of the same point finds
+it in the cache and the hit/miss counters are exactly the serial ones.
 
-Scoring is embarrassingly batchable (each query row is independent in
-every kernel), which :class:`ScoreBatcher` exploits on the HTTP path:
-concurrent ``/score`` requests are coalesced for up to
-``batch_window_ms`` (or ``max_batch`` points) into one stacked
-``score_new`` call and demultiplexed back — bit-identical to
-per-request scoring by construction and by test.
+Each query row is independent in every kernel, which
+:class:`ScoreBatcher` exploits: every ``/score`` request is queued, and
+the batcher scores whatever queued while its previous batch ran as one
+stacked ``score_new`` call — no timer, so a lone request is scored at
+once — bit-identical to per-request scoring by construction and test.
 
 The HTTP surface (``repro-lof serve``) is a stdlib
 :class:`~http.server.ThreadingHTTPServer` speaking persistent
@@ -69,13 +66,16 @@ with the same physical pages, so marginal RSS per worker is near zero)
 and accept on one shared listening socket (``SO_REUSEPORT`` when the
 platform has it; the pre-fork inherited socket works either way).
 
-Malformed requests get a 400 with ``{"error": ...}``; scoring a store
-saved without a dataset snapshot fails at startup with
+Malformed requests get a 400 with ``{"error": ...}``, a request of
+more than :data:`MAX_POINTS_PER_REQUEST` points a 413, a full request
+queue a 503 and any other scoring failure a 500; scoring a store saved
+without a dataset snapshot fails at startup with
 :class:`~repro.exceptions.StoreMismatchError`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import queue
@@ -100,7 +100,12 @@ from .core.duplicates import distinct_ball
 from .core.graph import NeighborhoodView
 from .core.parallel import fork_available, fork_workers, wait_workers
 from .core.range_lof import _AGGREGATES
-from .exceptions import ReproError, ServeError, ValidationError
+from .exceptions import (
+    ReproError,
+    RequestTooLargeError,
+    ServeError,
+    ValidationError,
+)
 from .index.batch import apply_exclusions, select_tie_inclusive, tie_threshold
 from .scorers import ScorerContext, get_scorer, list_scorers
 from .store import StoredModel, load_model, store_fingerprint
@@ -126,15 +131,18 @@ _MISSING = object()
 #: is refused with 413 before any of the body is read.
 MAX_BODY_BYTES = 64 << 20
 
+#: Most points per ``/score`` request (413 above): scoring allocates a
+#: (points x stored objects) distance block per MinPts.
+MAX_POINTS_PER_REQUEST = 1024
+#: The batcher stops gathering a batch at this many points.
+MAX_BATCH_POINTS = 64
+#: Queued requests; a submit to a full queue gets ServeError (503).
+MAX_QUEUE = 1024
+
 
 class _PendingScore:
-    """A score another thread is computing right now (single-flight).
-
-    The first thread to miss a cache key installs one of these as the
-    cache entry and computes; every concurrent requester of the same key
-    waits on it instead of duplicating the kernel work. Resolution
-    happens exactly once, under the scorer's lock.
-    """
+    """The future of one queued ``/score`` request, resolved (or failed)
+    exactly once by the batcher thread."""
 
     __slots__ = ("_event", "_value", "_error")
 
@@ -166,8 +174,7 @@ class LRUCache:
     ``hits``/``misses`` are plain ints maintained by the caller's lock
     discipline (the scorer guards every cache touch with its lock), so
     tests can assert exact values. ``capacity <= 0`` disables caching
-    entirely. Entries may transiently hold a :class:`_PendingScore`
-    while the first requester computes.
+    entirely.
     """
 
     def __init__(self, capacity: int = 1024):
@@ -197,12 +204,9 @@ class LRUCache:
         while len(self._data) > self.capacity:
             self._data.popitem(last=False)
 
-    def discard(self, key, expected) -> None:
-        """Drop ``key`` if it still maps to ``expected`` (cleanup of a
-        failed in-flight placeholder; a real value put by someone else
-        in the meantime survives)."""
-        if self._data.get(key) is expected:
-            del self._data[key]
+    def peek(self, key):
+        """The cached value, without counting or refreshing it."""
+        return self._data.get(key, _MISSING)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -257,9 +261,9 @@ class OnlineScorer:
     ``min_pts_ub``. All public methods are thread-safe. The frozen
     model is read without locking (it is immutable once the per-k
     caches are warmed); only the LRU cache and the Theorem-1 extrema
-    memo take the lock, and in-flight misses are single-flight, so N
-    concurrent threads produce bit-identical scores and exactly the
-    serial cache/obs counters.
+    memo take the lock, and the cached path runs under one scoring
+    lock, so N concurrent threads produce bit-identical scores and
+    exactly the serial cache/obs counters.
     """
 
     def __init__(self, model: StoredModel, cache_size: int = 1024, scorer=None):
@@ -283,6 +287,7 @@ class OnlineScorer:
             )
         self.threshold = float(meta.get("threshold", 1.5))
         self._lock = threading.Lock()
+        self._score_lock = threading.Lock()  # taken before _lock, never inside
         self.cache = LRUCache(cache_size)  # reprolint: lock-guarded
         self._extrema: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}  # reprolint: lock-guarded
         self._warmed_ks: set = set()  # reprolint: lock-guarded
@@ -330,10 +335,9 @@ class OnlineScorer:
         call (``None`` = the instance default, normally the store's
         fitted scorer).
 
-        Thread-safe without serializing the kernels: concurrent callers
-        compute disjoint cache misses in parallel; a key being computed
-        by one thread is awaited by the others (single-flight), so the
-        cache counters stay exactly the serial values.
+        Thread-safe: the cached path runs under the scoring lock, so the
+        cache counters are exactly the serial values; ``use_cache=False``
+        runs lock-free.
         """
         active = self._scorer if scorer is None else get_scorer(scorer)
         Xq, exclude, ks = self._check_query(Xq, exclude, min_pts)
@@ -347,46 +351,29 @@ class OnlineScorer:
         keys = [
             (active.name, Xq[i].tobytes(), int(exclude[i]), ks) for i in range(m)
         ]
-        miss_rows: List[int] = []
-        waiting: List[Tuple[int, _PendingScore]] = []
-        owned: Dict = {}
-        with self._lock:
-            for i, key in enumerate(keys):
-                hit = self.cache.get(key)
-                if hit is _MISSING:
-                    obs.incr("serve.cache.misses")
-                    miss_rows.append(i)
-                    if key not in owned:
-                        pending = _PendingScore()
-                        owned[key] = pending
-                        self.cache.put(key, pending)
-                elif isinstance(hit, _PendingScore):
-                    obs.incr("serve.cache.hits")
-                    waiting.append((i, hit))
-                else:
-                    obs.incr("serve.cache.hits")
-                    out[i] = hit
-        if miss_rows:
-            try:
-                # The expensive part — kernels over the frozen model,
-                # deliberately outside the lock so threads overlap.
-                scores = self._score_rows(Xq[miss_rows], exclude[miss_rows], ks, active)
-            except BaseException as exc:
-                with self._lock:
-                    for key, pending in owned.items():
-                        pending.fail(exc)
-                        self.cache.discard(key, pending)
-                raise
+        with self._score_lock:
+            # Peek first, compute each missing point once, then replay
+            # the get/put sequence of scoring the rows one by one.
+            known: Dict = {}
+            miss_rows: List[int] = []
             with self._lock:
-                for pos, i in enumerate(miss_rows):
-                    value = float(scores[pos])
-                    out[i] = value
-                    self.cache.put(keys[i], value)
-                    pending = owned.pop(keys[i], None)
-                    if pending is not None:
-                        pending.resolve(value)
-        for i, pending in waiting:
-            out[i] = pending.result()
+                for i, key in enumerate(keys):
+                    if key not in known:
+                        known[key] = self.cache.peek(key)
+                        if known[key] is _MISSING:
+                            miss_rows.append(i)
+            if miss_rows:
+                scores = self._score_rows(Xq[miss_rows], exclude[miss_rows], ks, active)
+                for i, value in zip(miss_rows, scores):
+                    known[keys[i]] = float(value)
+            with self._lock:
+                for i, key in enumerate(keys):
+                    if self.cache.get(key) is _MISSING:
+                        obs.incr("serve.cache.misses")
+                        self.cache.put(key, known[key])
+                    else:
+                        obs.incr("serve.cache.hits")
+                    out[i] = known[key]
         self._note_points(active.name, m)
         return out
 
@@ -649,15 +636,13 @@ class OnlineScorer:
 class ScoreBatcher:
     """Coalesce concurrent ``/score`` requests into stacked kernel calls.
 
-    Requests enter a bounded queue (backpressure: a full queue blocks
-    the submitting HTTP thread rather than growing without bound). One
-    batcher thread drains it: starting from the first waiting request it
-    accumulates more for up to ``batch_window_ms`` (or until
-    ``max_batch`` points are gathered), groups compatible requests
-    (same ``min_pts`` selector and same requested scorer), stacks each
-    group's points into one ``Xq`` and runs a **single** ``score_new``
-    per group, then demultiplexes the score slices back to the
-    per-request futures.
+    Requests enter a bounded queue (a full one refuses with
+    :class:`~repro.exceptions.ServeError`, never blocks). One batcher
+    thread blocks for the first request, takes whatever else is already
+    queued (up to :data:`MAX_BATCH_POINTS` points, without waiting),
+    groups compatible requests (same ``min_pts`` selector and scorer),
+    runs a **single** stacked ``score_new`` per group and demultiplexes
+    the score slices back to the per-request futures.
 
     Every query row is independent in every kernel on the scoring path
     (pairwise block rows, tie selection, reach/lrd/LOF row reductions),
@@ -670,17 +655,9 @@ class ScoreBatcher:
     against the store version live at execution time.
     """
 
-    def __init__(
-        self,
-        scorer_ref: Callable[[], OnlineScorer],
-        batch_window_ms: float = 2.0,
-        max_batch: int = 64,
-        max_queue: int = 1024,
-    ):
+    def __init__(self, scorer_ref: Callable[[], OnlineScorer]):
         self._scorer_ref = scorer_ref
-        self.batch_window_s = max(float(batch_window_ms), 0.0) / 1000.0
-        self.max_batch = max(int(max_batch), 1)
-        self._queue: "queue.Queue" = queue.Queue(maxsize=max(int(max_queue), 1))
+        self._queue: "queue.Queue" = queue.Queue(maxsize=MAX_QUEUE)
         self._closed = False
         # Batch statistics: written only by the single batcher thread,
         # read (atomically, CPython int loads) by /stats.
@@ -698,9 +675,11 @@ class ScoreBatcher:
 
         Validation happens eagerly against the current scorer so a
         malformed request (including an unknown ``scorer`` name) fails
-        its own caller (HTTP 400) instead of poisoning the batch it
-        would have joined. ``scorer=None`` means "whatever scorer is
-        active at execution time" — consistent with hot-swap semantics.
+        its own caller (HTTP 400; 413 above
+        :data:`MAX_POINTS_PER_REQUEST` points) instead of poisoning the
+        batch it would have joined. ``scorer=None`` means "whatever
+        scorer is active at execution time" — consistent with hot-swap
+        semantics.
         """
         if self._closed:
             raise ServeError("the scoring service is shutting down")
@@ -708,9 +687,19 @@ class ScoreBatcher:
         if scorer is not None:
             scorer = get_scorer(scorer).name
         Xq, _, _ = online._check_query(points, None, min_pts)
+        if Xq.shape[0] > MAX_POINTS_PER_REQUEST:
+            raise RequestTooLargeError(
+                f"a request may carry at most {MAX_POINTS_PER_REQUEST} "
+                f"points, got {Xq.shape[0]}"
+            )
         pending = _PendingScore()
+        try:
+            self._queue.put_nowait((Xq, min_pts, scorer, pending))
+        except queue.Full:
+            raise ServeError(
+                f"the request queue is full ({MAX_QUEUE} requests)"
+            ) from None
         obs.incr("serve.batch.requests")
-        self._queue.put((Xq, min_pts, scorer, pending))
         return pending
 
     def queue_depth(self) -> int:
@@ -718,10 +707,9 @@ class ScoreBatcher:
 
     def stats(self) -> Dict:
         return {
-            "window_ms": self.batch_window_s * 1000.0,
-            "max_batch": self.max_batch,
+            "max_batch": MAX_BATCH_POINTS,
             "queue_depth": self.queue_depth(),
-            "queue_capacity": self._queue.maxsize,
+            "queue_capacity": MAX_QUEUE,
             "requests": self.requests,
             "batches": self.batches,
             "coalesced": self.coalesced,
@@ -745,14 +733,9 @@ class ScoreBatcher:
                 return
             batch = [item]
             rows = item[0].shape[0]
-            deadline = time.monotonic() + self.batch_window_s
-            while rows < self.max_batch:
-                remaining = deadline - time.monotonic()
+            while rows < MAX_BATCH_POINTS:
                 try:
-                    if remaining > 0:
-                        nxt = self._queue.get(timeout=remaining)
-                    else:
-                        nxt = self._queue.get_nowait()
+                    nxt = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if nxt is None:
@@ -819,9 +802,6 @@ class _ModelHTTPServer(ThreadingHTTPServer):
         scorer: OnlineScorer,
         max_requests=None,
         sock: Optional[socket.socket] = None,
-        batch_window_ms: Optional[float] = 2.0,
-        max_batch: int = 64,
-        max_queue: int = 1024,
         worker_index: int = 0,
         workers: int = 1,
     ):
@@ -849,14 +829,7 @@ class _ModelHTTPServer(ThreadingHTTPServer):
         self._state_lock = threading.Lock()
         self._served = 0  # reprolint: lock-guarded
         self._active = 0  # reprolint: lock-guarded
-        self.batcher: Optional[ScoreBatcher] = None
-        if batch_window_ms is not None:
-            self.batcher = ScoreBatcher(
-                lambda: self.scorer,
-                batch_window_ms=batch_window_ms,
-                max_batch=max_batch,
-                max_queue=max_queue,
-            )
+        self.batcher = ScoreBatcher(lambda: self.scorer)
         # The online lifecycle (repro.stream.StreamingDetector), attached
         # by make_server when --stream is on: /score feeds served points
         # back into it, and its refits hot-swap through reload_store.
@@ -943,14 +916,13 @@ class _ModelHTTPServer(ThreadingHTTPServer):
             "reloads": reloads,
             "active_requests": active,
             "rss_kb": rss_kb,
-            "batcher": None if self.batcher is None else self.batcher.stats(),
+            "batcher": self.batcher.stats(),
         }
         payload["stream"] = None if self.stream is None else self.stream.stats()
         return payload
 
     def server_close(self) -> None:
-        if self.batcher is not None:
-            self.batcher.close()
+        self.batcher.close()
         if self.stream is not None:
             # Let an in-flight background refit land its swap so the
             # lineage chain on disk is complete at shutdown.
@@ -1055,26 +1027,21 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if min_pts is not None:
                 min_pts = int(min_pts)
-            if scorer_name is not None and not isinstance(scorer_name, str):
-                raise ValidationError("scorer must be a registered scorer name")
-            if scorer_name is not None:
-                # Resolve eagerly: an unknown scorer is the caller's
-                # mistake (400), never a 500 from deep in a batch.
-                scorer_name = get_scorer(scorer_name).name
-            batcher = self.server.batcher
-            if batcher is not None:
-                scores = batcher.submit(
-                    request["points"], min_pts, scorer=scorer_name
-                ).result()
-            else:
-                scores = scorer.score_new(
-                    request["points"], min_pts=min_pts, scorer=scorer_name
-                )
+            # submit resolves the scorer eagerly: an unknown one is a 400.
+            scores = self.server.batcher.submit(
+                request["points"], min_pts, scorer=scorer_name
+            ).result()
         except ServeError as exc:
             self._reply(503, {"error": str(exc)})
             return
+        except RequestTooLargeError as exc:
+            self._reply(413, {"error": str(exc)})
+            return
         except (ReproError, TypeError, ValueError) as exc:
             self._reply(400, {"error": str(exc)})
+            return
+        except Exception as exc:  # never drop the connection unanswered
+            self._reply(500, {"error": f"scoring failed: {exc!r}"})
             return
         stream = self.server.stream
         if stream is not None:
@@ -1151,9 +1118,6 @@ def make_server(
     max_requests=None,
     cache_size: int = 1024,
     sock: Optional[socket.socket] = None,
-    batch_window_ms: Optional[float] = 2.0,
-    max_batch: int = 64,
-    max_queue: int = 1024,
     worker_index: int = 0,
     workers: int = 1,
     scorer=None,
@@ -1161,9 +1125,8 @@ def make_server(
 ) -> _ModelHTTPServer:
     """Build (but do not start) the scoring server; ``port=0`` binds an
     ephemeral port, readable from ``server.server_address``.
-    ``batch_window_ms=None`` disables request coalescing (each request
-    scores by itself, the pre-fleet behavior). ``scorer`` overrides the
-    store's fitted scorer as the service default.
+    ``scorer`` overrides the store's fitted scorer as the service
+    default.
 
     ``stream``, when given (a dict, possibly empty), attaches a
     :class:`repro.stream.StreamingDetector` wired to this server: every
@@ -1181,9 +1144,6 @@ def make_server(
         scorer,
         max_requests=max_requests,
         sock=sock,
-        batch_window_ms=batch_window_ms,
-        max_batch=max_batch,
-        max_queue=max_queue,
         worker_index=worker_index,
         workers=workers,
     )
@@ -1245,9 +1205,6 @@ def run_server(
     mmap: bool = False,
     max_requests=None,
     cache_size: int = 1024,
-    batch_window_ms: Optional[float] = 2.0,
-    max_batch: int = 64,
-    max_queue: int = 1024,
     scorer=None,
     stream: Optional[Dict] = None,
 ) -> int:
@@ -1255,6 +1212,13 @@ def run_server(
     ``max_requests`` scored POSTs; shutdown drains in-flight requests).
     ``stream`` (see :func:`make_server`) turns on the online lifecycle:
     ingest → drift detection → background refit → hot-swap."""
+    # One glibc malloc arena for every thread, so a hot swap reuses the
+    # pages the last one freed whichever handler thread ran it (see
+    # docs/serving.md, "Hot swap"); -8 is mallopt's M_ARENA_MAX.
+    try:
+        ctypes.CDLL(None).mallopt(-8, 1)
+    except (OSError, AttributeError):  # pragma: no cover - not glibc
+        pass
     server = make_server(
         store_path,
         host=host,
@@ -1262,9 +1226,6 @@ def run_server(
         mmap=mmap,
         max_requests=max_requests,
         cache_size=cache_size,
-        batch_window_ms=batch_window_ms,
-        max_batch=max_batch,
-        max_queue=max_queue,
         scorer=scorer,
         stream=stream,
     )
@@ -1294,9 +1255,6 @@ def run_fleet(
     workers: int = 1,
     max_requests=None,
     cache_size: int = 1024,
-    batch_window_ms: Optional[float] = 2.0,
-    max_batch: int = 64,
-    max_queue: int = 1024,
     scorer=None,
     stream: Optional[Dict] = None,
 ) -> int:
@@ -1330,9 +1288,6 @@ def run_fleet(
             mmap=True,
             max_requests=max_requests,
             cache_size=cache_size,
-            batch_window_ms=batch_window_ms,
-            max_batch=max_batch,
-            max_queue=max_queue,
             scorer=scorer,
             stream=stream,
         )
@@ -1353,9 +1308,6 @@ def run_fleet(
             max_requests=max_requests,
             cache_size=cache_size,
             sock=sock,
-            batch_window_ms=batch_window_ms,
-            max_batch=max_batch,
-            max_queue=max_queue,
             worker_index=index,
             workers=workers,
             scorer=scorer,

@@ -192,8 +192,9 @@ class StreamingDetector:
         instead of bootstrapping.
     swap : callback invoked with the new store path after every refit —
         wire ``_ModelHTTPServer.reload_store`` here to reuse the
-        ``/admin/reload`` hot-swap machinery. Its return value is kept
-        on the :class:`RefitRecord` chain.
+        ``/admin/reload`` hot-swap machinery. Its return value is
+        ignored; the :class:`RefitRecord` chain records the new store's
+        path and fingerprint.
     background : run refits on a daemon thread (the production serve
         mode) instead of inline in the triggering ``observe`` call (the
         deterministic replay mode). Single-flight either way.

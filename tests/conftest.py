@@ -4,6 +4,9 @@ The fixtures favor tiny, hand-checkable datasets; anything statistical
 uses a fixed seed so failures are reproducible.
 """
 
+import contextlib
+import time
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,32 @@ def _pristine_obs():
     yield
     obs.disable()
     obs.reset()
+
+
+@pytest.fixture
+def batch_gate():
+    """A gate that makes :class:`repro.serve.ScoreBatcher` coalescing
+    deterministic: ``with batch_gate(batcher, scorer):`` holds the
+    scorer's scoring lock so the batcher thread sticks inside a first
+    batch (one gate request); everything submitted inside the block
+    then waits in the queue and is gathered on release. The gate is
+    open only once the gate's batch is counted, not just dequeued, so
+    the batcher has finished gathering it before the block submits."""
+
+    @contextlib.contextmanager
+    def gate(batcher, scorer):
+        with scorer._score_lock:
+            first = batcher.submit(np.zeros((1, scorer.X.shape[1])), None)
+            for _ in range(10_000):  # polls for up to ~10 s
+                if batcher.queue_depth() == 0 and batcher.batches > 0:
+                    break
+                time.sleep(0.001)
+            else:
+                pytest.fail("the batcher never took the gate request")
+            yield
+        first.result()
+
+    return gate
 
 
 @pytest.fixture

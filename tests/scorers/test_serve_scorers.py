@@ -76,26 +76,29 @@ class TestOnlineScorerOverride:
 
 
 class TestBatcherScorerGrouping:
-    def test_mixed_scorers_grouped_separately_bit_identically(self, online):
+    def test_mixed_scorers_grouped_separately_bit_identically(self, online, batch_gate):
         sc, X, _ = online
         rng = np.random.default_rng(17)
         a = rng.uniform(0.0, 40.0, size=(2, 2))
         b = rng.uniform(0.0, 40.0, size=(2, 2))
         want_a = sc.score_new(a, min_pts=5, use_cache=False)
         want_b = sc.score_new(b, min_pts=5, scorer="loop", use_cache=False)
-        batcher = ScoreBatcher(lambda: sc, batch_window_ms=5000.0, max_batch=4)
+        batcher = ScoreBatcher(lambda: sc)
         try:
-            fa = batcher.submit(a, 5)
-            fb = batcher.submit(b, 5, scorer="loop")
+            with batch_gate(batcher, sc):
+                fa = batcher.submit(a, 5)
+                fb = batcher.submit(b, 5, scorer="loop")
             ga, gb = fa.result(), fb.result()
         finally:
             batcher.close()
         assert np.array_equal(np.asarray(ga), want_a)
         assert np.array_equal(np.asarray(gb), want_b)
-        # Different scorers cannot share a stacked kernel call.
-        assert batcher.batches == 2
+        # Different scorers cannot share a stacked kernel call: the
+        # gate's batch plus one per scorer.
+        assert batcher.batches == 3
+        assert batcher.coalesced == 0
 
-    def test_same_scorer_still_coalesces(self, online):
+    def test_same_scorer_still_coalesces(self, online, batch_gate):
         sc, X, _ = online
         rng = np.random.default_rng(18)
         chunks = [rng.uniform(0.0, 40.0, size=(1, 2)) for _ in range(3)]
@@ -103,19 +106,20 @@ class TestBatcherScorerGrouping:
             sc.score_new(c, min_pts=5, scorer="knn_dist", use_cache=False)
             for c in chunks
         ]
-        batcher = ScoreBatcher(lambda: sc, batch_window_ms=5000.0, max_batch=3)
+        batcher = ScoreBatcher(lambda: sc)
         try:
-            futures = [batcher.submit(c, 5, scorer="knn_dist") for c in chunks]
+            with batch_gate(batcher, sc):
+                futures = [batcher.submit(c, 5, scorer="knn_dist") for c in chunks]
             got = [f.result() for f in futures]
         finally:
             batcher.close()
         for g, w in zip(got, want):
             assert np.array_equal(np.asarray(g), w)
-        assert batcher.batches == 1 and batcher.coalesced == 2
+        assert batcher.batches == 2 and batcher.coalesced == 2
 
     def test_unknown_scorer_rejected_at_submit(self, online):
         sc, _, _ = online
-        batcher = ScoreBatcher(lambda: sc, batch_window_ms=5000.0, max_batch=4)
+        batcher = ScoreBatcher(lambda: sc)
         try:
             with pytest.raises(ValidationError, match="unknown scorer"):
                 batcher.submit(np.zeros((1, 2)), 5, scorer="nope")

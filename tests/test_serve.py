@@ -9,8 +9,8 @@ Three contracts:
   is bit-for-bit the fitted LOF value, in-memory or memmap;
 * *determinism* — the LRU cache and its counters are exact, including
   under concurrent hammering: the frozen-model read path is lock-free
-  and cache misses are single-flight, so N threads produce bit-identical
-  scores and exactly the serial counters;
+  and the cached path runs under one scoring lock, so N threads produce
+  bit-identical scores and exactly the serial counters;
 * *coalescing* — batching concurrent requests into one stacked kernel
   call (:class:`~repro.serve.ScoreBatcher`) is bit-identical to scoring
   each request alone, and a hot-swap (``/admin/reload``) mid-hammer
@@ -29,7 +29,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro import LocalOutlierFactor, MaterializationDB, obs
+from repro import LocalOutlierFactor, MaterializationDB, obs, serve
 from repro.core.duplicates import distinct_ball
 from repro.core.parallel import fork_available
 from repro.core.range_lof import _AGGREGATES
@@ -386,6 +386,43 @@ class TestHTTPServer:
         # The handler survived: a new connection is served normally.
         assert self._request(srv, "/healthz")[0] == 200
 
+    def _post_raw(self, srv, points):
+        """POST /score over http.client: (status, JSON body). A dropped
+        connection raises instead of returning a status."""
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", srv.server_address[1], timeout=10
+        )
+        try:
+            conn.request(
+                "POST", "/score", body=json.dumps({"points": points}),
+                headers={"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read())
+        finally:
+            conn.close()
+
+    def test_too_many_points_get_413(self, server):
+        srv, _ = server
+        points = [[0.0, 0.0]] * (serve.MAX_POINTS_PER_REQUEST + 1)
+        status, body = self._post_raw(srv, points)
+        assert status == 413 and "at most" in body["error"]
+        assert srv.batcher.requests == 0  # refused before queueing
+        assert self._request(srv, "/healthz")[0] == 200
+
+    def test_scoring_failure_gets_500(self, server, monkeypatch):
+        srv, _ = server
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setattr(OnlineScorer, "_score_rows", broken)
+        status, body = self._post_raw(srv, [[3.0, 3.0]])
+        assert status == 500 and "kernel exploded" in body["error"]
+        monkeypatch.undo()
+        assert self._request(srv, "/healthz")[0] == 200
+        assert self._post_raw(srv, [[3.0, 3.0]])[0] == 200
+
     def test_unknown_path_404(self, server):
         srv, _ = server
         status, _ = self._request(srv, "/nope")
@@ -419,50 +456,72 @@ def _http_request(srv, path, payload=None):
 
 
 class TestBatcher:
-    def test_max_batch_coalesces_bit_identically(self, scorer):
+    def test_max_batch_coalesces_bit_identically(self, scorer, batch_gate):
         sc, _ = scorer
         rng = np.random.default_rng(21)
         chunks = [rng.uniform(0.0, 40.0, size=(m, 2)) for m in (1, 2, 1)]
         want = [sc.score_new(c, use_cache=False) for c in chunks]
-        # max_batch == total points and a generous window: the batcher
-        # deterministically waits until all three requests are gathered,
-        # then runs exactly one stacked kernel call.
-        batcher = ScoreBatcher(lambda: sc, batch_window_ms=5000.0, max_batch=4)
+        # Queued behind the gate, all three requests are waiting when
+        # the batcher looks again: one stacked kernel call besides the
+        # gate's own batch.
+        batcher = ScoreBatcher(lambda: sc)
         try:
-            futures = [batcher.submit(c, None) for c in chunks]
+            with batch_gate(batcher, sc):
+                futures = [batcher.submit(c, None) for c in chunks]
             got = [f.result() for f in futures]
         finally:
             batcher.close()
         for g, w in zip(got, want):
             assert np.array_equal(np.asarray(g), w)  # bit-identical
-        assert batcher.requests == 3
-        assert batcher.batches == 1
+        assert batcher.requests == 4
+        assert batcher.batches == 2
         assert batcher.coalesced == 2
-        assert batcher.points == 4
+        assert batcher.points == 5
 
-    def test_mixed_min_pts_grouped_per_selector(self, scorer):
+    def test_batch_stops_gathering_at_max_batch_points(self, scorer, batch_gate):
+        sc, _ = scorer
+        rng = np.random.default_rng(23)
+        half = serve.MAX_BATCH_POINTS // 2
+        chunks = [rng.uniform(0.0, 40.0, size=(half, 2)) for _ in range(3)]
+        want = [sc.score_new(c, use_cache=False) for c in chunks]
+        batcher = ScoreBatcher(lambda: sc)
+        try:
+            with batch_gate(batcher, sc):
+                futures = [batcher.submit(c, None) for c in chunks]
+            got = [f.result() for f in futures]
+        finally:
+            batcher.close()
+        for g, w in zip(got, want):
+            assert np.array_equal(np.asarray(g), w)
+        # Two halves fill a batch; the third starts the next one.
+        assert batcher.batches == 3
+        assert batcher.coalesced == 1
+
+    def test_mixed_min_pts_grouped_per_selector(self, scorer, batch_gate):
         sc, _ = scorer
         rng = np.random.default_rng(22)
         a = rng.uniform(0.0, 40.0, size=(2, 2))
         b = rng.uniform(0.0, 40.0, size=(2, 2))
         want_a = sc.score_new(a, min_pts=5, use_cache=False)
         want_b = sc.score_new(b, use_cache=False)
-        batcher = ScoreBatcher(lambda: sc, batch_window_ms=5000.0, max_batch=4)
+        batcher = ScoreBatcher(lambda: sc)
         try:
-            fa = batcher.submit(a, 5)
-            fb = batcher.submit(b, None)
+            with batch_gate(batcher, sc):
+                fa = batcher.submit(a, 5)
+                fb = batcher.submit(b, None)
             ga, gb = fa.result(), fb.result()
         finally:
             batcher.close()
         assert np.array_equal(np.asarray(ga), want_a)
         assert np.array_equal(np.asarray(gb), want_b)
-        # Different min_pts selectors cannot share a stacked call.
-        assert batcher.batches == 2
+        # Different min_pts selectors cannot share a stacked call: the
+        # gate's batch plus one per selector.
+        assert batcher.batches == 3
         assert batcher.coalesced == 0
 
     def test_submit_validates_eagerly(self, scorer):
         sc, _ = scorer
-        batcher = ScoreBatcher(lambda: sc, batch_window_ms=5000.0, max_batch=8)
+        batcher = ScoreBatcher(lambda: sc)
         try:
             with pytest.raises(ValidationError):
                 batcher.submit([[1.0]], None)  # wrong dimensionality
@@ -473,29 +532,48 @@ class TestBatcher:
         finally:
             batcher.close()
 
-    def test_closed_batcher_rejects(self, scorer):
+    def test_full_queue_refuses_instead_of_blocking(self, scorer, batch_gate):
         sc, _ = scorer
-        batcher = ScoreBatcher(lambda: sc, batch_window_ms=0.0, max_batch=1)
-        batcher.close()
-        with pytest.raises(ServeError):
-            batcher.submit([[0.0, 0.0]], None)
-
-    def test_batch_counters_registered(self, scorer):
-        sc, _ = scorer
-        obs.enable()
-        obs.reset()
-        batcher = ScoreBatcher(lambda: sc, batch_window_ms=5000.0, max_batch=2)
+        batcher = ScoreBatcher(lambda: sc)
         try:
-            futures = [
-                batcher.submit([[40.0, 10.0]], None),
-                batcher.submit([[1.0, 1.0]], None),
-            ]
+            with batch_gate(batcher, sc):
+                futures = [
+                    batcher.submit([[1.0, 1.0]], None)
+                    for _ in range(serve.MAX_QUEUE)
+                ]
+                assert batcher.queue_depth() == serve.MAX_QUEUE
+                with pytest.raises(ServeError, match="queue is full"):
+                    batcher.submit([[1.0, 1.0]], None)
             for f in futures:
                 f.result()
         finally:
             batcher.close()
-        assert obs.counter("serve.batch.requests") == 2
-        assert obs.counter("serve.batch.batches") == 1
+        assert batcher.requests == serve.MAX_QUEUE + 1
+
+    def test_closed_batcher_rejects(self, scorer):
+        sc, _ = scorer
+        batcher = ScoreBatcher(lambda: sc)
+        batcher.close()
+        with pytest.raises(ServeError):
+            batcher.submit([[0.0, 0.0]], None)
+
+    def test_batch_counters_registered(self, scorer, batch_gate):
+        sc, _ = scorer
+        obs.enable()
+        obs.reset()
+        batcher = ScoreBatcher(lambda: sc)
+        try:
+            with batch_gate(batcher, sc):
+                futures = [
+                    batcher.submit([[40.0, 10.0]], None),
+                    batcher.submit([[1.0, 1.0]], None),
+                ]
+            for f in futures:
+                f.result()
+        finally:
+            batcher.close()
+        assert obs.counter("serve.batch.requests") == 3
+        assert obs.counter("serve.batch.batches") == 2
         assert obs.counter("serve.batch.coalesced") == 1
 
 
@@ -576,7 +654,7 @@ class TestKeepAliveAndAdmin:
 class TestHotSwapStress:
     def test_hammer_with_reload_bit_identical_and_counted(self, fitted_store):
         path, _ = fitted_store
-        srv = make_server(path, port=0, batch_window_ms=2.0, max_batch=16)
+        srv = make_server(path, port=0)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         port = srv.server_address[1]
@@ -659,7 +737,6 @@ class TestHotSwapStress:
         srv = make_server(
             path,
             port=0,
-            batch_window_ms=None,
             stream={
                 "window": window,
                 "check_every": 1,
@@ -799,7 +876,7 @@ class TestFleetCLI:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", str(path),
-                "--workers", "2", "--port", "0", "--max-batch", "8",
+                "--workers", "2", "--port", "0",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
